@@ -20,7 +20,7 @@
 //                    one weight pass per K+1 rows, which needs the matvec
 //                    to be bandwidth-bound). Emitted tokens must be
 //                    byte-identical to plain greedy decode (fatal).
-//   matvec_scaling   the [vocab, d] logits-projection parallel_matvec gets
+//   matvec_scaling   the [vocab, d] logits-projection one-row project() gets
 //                    >= 2x faster from 1 to 4 pool threads. Skipped on
 //                    hosts with fewer than 4 cores.
 //   mcq_speedup      run_mcq_eval's prefill-once/snapshot-per-choice path
@@ -502,6 +502,10 @@ int main(int argc, char** argv) {
   // per-token projection) and require the engine to keep >= 70% of the
   // probe's advantage end-to-end (attention + norms + RoPE dilute it),
   // capped at the original 3x claim so a fast host still enforces that.
+  // Both sides run serially: a one-worker pool keeps project() inline.
+  ThreadPool pool1(1);
+  const kernels::WeightView logits_w{DType::kF32, model.embed().value.data(),
+                                     nullptr, sizes.vocab, sizes.d_model};
   std::vector<float> probe_x(static_cast<std::size_t>(sizes.d_model));
   std::vector<float> probe_y(static_cast<std::size_t>(sizes.vocab));
   for (float& f : probe_x) f = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -509,8 +513,7 @@ int main(int argc, char** argv) {
     seed_matvec(model.embed().value, probe_x, probe_y);
   });
   const double kernel_probe_t = best_seconds(sizes.reps, [&] {
-    kernels::matvec(model.embed().value.data(), probe_x.data(),
-                    probe_y.data(), sizes.vocab, sizes.d_model);
+    kernels::project(logits_w, probe_x.data(), probe_y.data(), 1, &pool1);
   });
   const double matvec_probe = seed_probe_t / kernel_probe_t;
   const double decode_floor = std::min(3.0, 0.7 * matvec_probe);
@@ -585,15 +588,14 @@ int main(int argc, char** argv) {
   for (float& f : w) f = static_cast<float>(rng.uniform(-1.0, 1.0));
   for (float& f : xv) f = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  ThreadPool pool1(1);
   ThreadPool pool4(4);
+  const kernels::WeightView mv_w{DType::kF32, w.data(), nullptr,
+                                 sizes.mv_out, sizes.mv_in};
   const double mv_t1 = best_seconds(sizes.mv_reps, [&] {
-    kernels::parallel_matvec(w.data(), xv.data(), y1.data(), sizes.mv_out,
-                             sizes.mv_in, &pool1);
+    kernels::project(mv_w, xv.data(), y1.data(), 1, &pool1);
   });
   const double mv_t4 = best_seconds(sizes.mv_reps, [&] {
-    kernels::parallel_matvec(w.data(), xv.data(), y4.data(), sizes.mv_out,
-                             sizes.mv_in, &pool4);
+    kernels::project(mv_w, xv.data(), y4.data(), 1, &pool4);
   });
   const double mv_scaling = mv_t1 / mv_t4;
   const bool mv_bitwise =
@@ -620,13 +622,14 @@ int main(int argc, char** argv) {
   }
   std::vector<float> y_f32(static_cast<std::size_t>(sizes.mv_out));
   std::vector<float> y_i8(static_cast<std::size_t>(sizes.mv_out));
+  const kernels::WeightView mv_w_i8{DType::kI8, w_codes.data(),
+                                    w_scales.data(), sizes.mv_out,
+                                    sizes.mv_in};
   const double mv_f32_t = best_seconds(sizes.mv_reps, [&] {
-    kernels::parallel_matvec(w.data(), xv.data(), y_f32.data(), sizes.mv_out,
-                             sizes.mv_in);
+    kernels::project(mv_w, xv.data(), y_f32.data(), 1);
   });
   const double mv_i8_t = best_seconds(sizes.mv_reps, [&] {
-    kernels::parallel_matvec_i8(w_codes.data(), w_scales.data(), xv.data(),
-                                y_i8.data(), sizes.mv_out, sizes.mv_in);
+    kernels::project(mv_w_i8, xv.data(), y_i8.data(), 1);
   });
   const double int8_matvec_speedup = mv_f32_t / mv_i8_t;
   // int8's advantage is bandwidth: 4x fewer weight bytes per token. It can
@@ -718,10 +721,8 @@ int main(int argc, char** argv) {
   }
   const double spec_serial_t = best_seconds(sizes.reps, [&] {
     for (std::int64_t r = 0; r <= draft_k; ++r) {
-      kernels::matvec(model.embed().value.data(),
-                      probe_block.data() + r * sizes.d_model,
-                      probe_out.data() + r * sizes.vocab, sizes.vocab,
-                      sizes.d_model);
+      kernels::project(logits_w, probe_block.data() + r * sizes.d_model,
+                       probe_out.data() + r * sizes.vocab, 1, &pool1);
     }
   });
   const double spec_batched_t = best_seconds(sizes.reps, [&] {
@@ -943,7 +944,7 @@ int main(int argc, char** argv) {
   }
   if (!mv_bitwise) {
     std::fprintf(stderr,
-                 "bench_infer: FAILED (parallel_matvec bits differ 1 vs 4 "
+                 "bench_infer: FAILED (one-row project bits differ 1 vs 4 "
                  "threads)\n");
     return 1;
   }

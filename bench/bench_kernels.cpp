@@ -13,6 +13,10 @@
 //   bench_kernels --quick   tiny sizes, no gate; exercises the same code
 //                           paths cheaply (CI smoke / sanitizer builds)
 //
+// A project_probe line per (weight dtype, served shape, row count) reports
+// microseconds per activation row and GFLOP/s of kernels::project; it is
+// not gated.
+//
 // Gate floors: dot, matmul_nt and the fused scaled_sum (vs the seed's
 // scale+scale+add composition) must be >= 3x; axpy must be >= 1.15x. axpy
 // at 16M elements is DRAM-bandwidth-bound — it streams 2 reads + 1 write
@@ -20,6 +24,7 @@
 // reach 3x once the scalar loop already saturates memory; see
 // DESIGN.md ("Roofline note").
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -259,6 +264,53 @@ int main(int argc, char** argv) {
                           nt_c * sizeof(float)) == 0,
               "matmul_nt");
   print_case(nt_case, nt_a);
+
+  // project() per-row probe (ungated) ---------------------------------------
+  // The served projection shapes [out, in] at 1, 5, 8 and 16 activation
+  // rows, fp32 and int8 weights: microseconds per row and achieved GFLOP/s
+  // show what the register tile buys as rows share a weight pass.
+  struct ProbeShape {
+    std::int64_t out, in;
+  };
+  const ProbeShape probe_shapes[] = {{128, 128}, {512, 128}, {128, 512},
+                                     {100, 128}};
+  for (const ProbeShape& shape : probe_shapes) {
+    const auto count = static_cast<std::size_t>(shape.out * shape.in);
+    const std::vector<float> pw = random_vec(count, rng);
+    std::vector<std::int8_t> pq(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      pq[i] = static_cast<std::int8_t>(std::lround(pw[i] * 127.0F));
+    }
+    const std::vector<float> pscales(static_cast<std::size_t>(shape.out),
+                                     1.0F / 127.0F);
+    const kernels::WeightView views[] = {
+        {DType::kF32, pw.data(), nullptr, shape.out, shape.in},
+        {DType::kI8, pq.data(), pscales.data(), shape.out, shape.in}};
+    for (const kernels::WeightView& view : views) {
+      for (const std::int64_t rows : {1, 5, 8, 16}) {
+        const std::vector<float> px =
+            random_vec(static_cast<std::size_t>(rows * shape.in), rng);
+        std::vector<float> py(static_cast<std::size_t>(rows * shape.out));
+        const std::int64_t macs = rows * shape.out * shape.in;
+        const std::int64_t calls =
+            std::max<std::int64_t>(1, (quick ? 1 << 16 : 1 << 23) / macs);
+        const double ms = best_ms(sizes.mat_reps + 2, [&] {
+          for (std::int64_t c = 0; c < calls; ++c) {
+            kernels::project(view, px.data(), py.data(), rows);
+          }
+        });
+        const double call_us = ms * 1e3 / static_cast<double>(calls);
+        std::printf(
+            "{\"bench\":\"project_probe\",\"dtype\":\"%s\",\"out\":%lld,"
+            "\"in\":%lld,\"rows\":%lld,\"us_per_row\":%.3f,"
+            "\"gflops\":%.2f}\n",
+            dtype_name(view.dtype).c_str(), static_cast<long long>(shape.out),
+            static_cast<long long>(shape.in), static_cast<long long>(rows),
+            call_us / static_cast<double>(rows),
+            2.0 * static_cast<double>(macs) * 1e-3 / call_us);
+      }
+    }
+  }
 
   if (!g_all_exact) {
     std::fprintf(stderr, "bench_kernels: FAILED (bit-exactness)\n");

@@ -13,39 +13,24 @@ namespace chipalign {
 
 namespace {
 
-/// y = W x with W [out, in] row-major, on the kernel layer: every output
-/// row is the contract-reduced dot product, fanned over the global thread
-/// pool when large enough (bitwise identical at any pool size). Dispatches
-/// on the parameter's storage dtype: quantized weights run the dequantizing
-/// kernel variants, which share the fp32 reduction contract.
-void project(const Parameter& p, std::span<const float> x,
-             std::span<float> y) {
-  const std::int64_t out_dim = p.quantized() ? p.qvalue.rows : p.value.dim(0);
-  const std::int64_t in_dim = p.quantized() ? p.qvalue.cols : p.value.dim(1);
-  CA_CHECK(static_cast<std::int64_t>(x.size()) == in_dim, "matvec input size");
-  CA_CHECK(static_cast<std::int64_t>(y.size()) == out_dim,
-           "matvec output size");
-  if (!p.quantized()) {
-    kernels::parallel_matvec(p.value.data(), x.data(), y.data(), out_dim,
-                             in_dim);
-    return;
-  }
-  switch (p.qvalue.dtype) {
-    case DType::kF16:
-      kernels::parallel_matvec_f16(p.qvalue.half.data(), x.data(), y.data(),
-                                   out_dim, in_dim);
-      return;
-    case DType::kBF16:
-      kernels::parallel_matvec_bf16(p.qvalue.half.data(), x.data(), y.data(),
-                                    out_dim, in_dim);
-      return;
-    case DType::kI8:
-      kernels::parallel_matvec_i8(p.qvalue.q.data(), p.qvalue.scales.data(),
-                                  x.data(), y.data(), out_dim, in_dim);
-      return;
-    default:
-      CA_THROW("unsupported weight dtype " << dtype_name(p.qvalue.dtype));
-  }
+/// Y[rows, out] = X[rows, in] @ W^T for W [out, in] row-major, as one
+/// kernels::project call over the parameter's storage (fp32 values or the
+/// quantized payload, dequantized inside the kernel). Every output is the
+/// contract-reduced dot, so a row's bits do not depend on how many rows
+/// share the call: a serial step (rows = 1), a batched step (B) and a
+/// verify block (T) agree.
+void project(const Parameter& p, const float* x, float* y,
+             std::int64_t rows) {
+  using kernels::WeightView;
+  const QuantTensor& q = p.qvalue;
+  const WeightView w =
+      !p.quantized()
+          ? WeightView{DType::kF32, p.value.data(), nullptr, p.value.dim(0),
+                       p.value.dim(1)}
+      : q.dtype == DType::kI8
+          ? WeightView{q.dtype, q.q.data(), q.scales.data(), q.rows, q.cols}
+          : WeightView{q.dtype, q.half.data(), nullptr, q.rows, q.cols};
+  kernels::project(w, x, y, rows);
 }
 
 /// Copies the embedding row for `token` into x, dequantizing when the
@@ -143,42 +128,6 @@ void check_step_args(const ModelConfig& config, const SessionState& state,
            "token id " << token << " out of vocab");
 }
 
-/// One projection for the whole batch: c[out, B] = W @ X^T via matmul_nt
-/// (each c[o][b] is the contract-reduced dot of W row o and X row b — the
-/// exact bits matvec would produce for session b), then transposed into the
-/// row-major [B, out] destination. Dispatches on the parameter's storage
-/// dtype like project().
-void batched_project(const Parameter& p, const float* x, float* y,
-                     std::int64_t batch, DecodeScratch& scratch) {
-  const std::int64_t out_dim = p.quantized() ? p.qvalue.rows : p.value.dim(0);
-  const std::int64_t in_dim = p.quantized() ? p.qvalue.cols : p.value.dim(1);
-  float* staged = scratch.nt_out.data();
-  if (!p.quantized()) {
-    kernels::matmul_nt(p.value.data(), x, staged, out_dim, in_dim, batch);
-  } else {
-    switch (p.qvalue.dtype) {
-      case DType::kF16:
-        kernels::matmul_nt_f16(p.qvalue.half.data(), x, staged, out_dim,
-                               in_dim, batch);
-        break;
-      case DType::kBF16:
-        kernels::matmul_nt_bf16(p.qvalue.half.data(), x, staged, out_dim,
-                                in_dim, batch);
-        break;
-      case DType::kI8:
-        kernels::matmul_nt_i8(p.qvalue.q.data(), p.qvalue.scales.data(), x,
-                              staged, out_dim, in_dim, batch);
-        break;
-      default:
-        CA_THROW("unsupported weight dtype " << dtype_name(p.qvalue.dtype));
-    }
-  }
-  for (std::int64_t b = 0; b < batch; ++b) {
-    float* y_b = y + b * out_dim;
-    for (std::int64_t o = 0; o < out_dim; ++o) y_b[o] = staged[o * batch + b];
-  }
-}
-
 }  // namespace
 
 DecodeScratch::DecodeScratch(const ModelConfig& config,
@@ -199,9 +148,6 @@ DecodeScratch::DecodeScratch(const ModelConfig& config,
   up.resize(b * d_ff);
   k_new.resize(b * kv);
   v_new.resize(b * kv);
-  const auto max_out = std::max<std::size_t>(
-      {d, d_ff, kv, static_cast<std::size_t>(config.vocab_size)});
-  nt_out.resize(max_out * b);
   scores.resize(b * static_cast<std::size_t>(config.max_seq_len));
 }
 
@@ -241,9 +187,9 @@ void decode_step(const TransformerModel& model, SessionState& state,
     const std::span<float> v_new(scratch.v_new.data(), kv);
 
     rmsnorm_row(x, block.input_norm.value.values(), config.norm_eps, normed);
-    project(block.q_proj, normed, q);
-    project(block.k_proj, normed, k_new);
-    project(block.v_proj, normed, v_new);
+    project(block.q_proj, normed.data(), q.data(), 1);
+    project(block.k_proj, normed.data(), k_new.data(), 1);
+    project(block.v_proj, normed.data(), v_new.data(), 1);
 
     for (std::int64_t h = 0; h < config.n_heads; ++h) {
       model.rotary().apply(
@@ -261,21 +207,21 @@ void decode_step(const TransformerModel& model, SessionState& state,
 
     attention_row(model, state, l, pos, q, att, scores);
 
-    project(block.o_proj, att, proj);
+    project(block.o_proj, att.data(), proj.data(), 1);
     add_row(x, proj);
 
     rmsnorm_row(x, block.post_norm.value.values(), config.norm_eps, normed);
-    project(block.gate_proj, normed, gate);
-    project(block.up_proj, normed, up);
+    project(block.gate_proj, normed.data(), gate.data(), 1);
+    project(block.up_proj, normed.data(), up.data(), 1);
     swiglu_row(gate, up);
-    project(block.down_proj, gate, proj);
+    project(block.down_proj, gate.data(), proj.data(), 1);
     add_row(x, proj);
   }
 
   rmsnorm_row(x, model.final_norm().value.values(), config.norm_eps, normed);
-  // The [vocab, d] tied LM head dominates per-token cost; parallel_matvec
-  // shards its output rows across the pool.
-  project(model.embed(), normed, logits);
+  // The [vocab, d] tied LM head dominates per-token cost; above the kernel
+  // layer's work threshold its output rows fan across the pool.
+  project(model.embed(), normed.data(), logits.data(), 1);
   ++state.position;
 }
 
@@ -296,9 +242,8 @@ void batched_decode_step(const TransformerModel& model,
                batch * config.vocab_size,
            "batched_decode_step logits size");
   if (batch == 1) {
-    // Single-row batches take the matvec path (identical bits, and
-    // parallel_matvec fans the big logits projection over the pool, which
-    // a one-row matmul_nt cannot).
+    // Single-row batches take the serial step: identical bits, without the
+    // per-row bookkeeping.
     decode_step(model, *states[0], scratch, tokens[0], logits);
     return;
   }
@@ -351,12 +296,9 @@ void batched_decode_step(const TransformerModel& model,
       rmsnorm_row(row_f(scratch.x, b, d), block.input_norm.value.values(),
                   config.norm_eps, row_f(scratch.normed, b, d));
     }
-    batched_project(block.q_proj, scratch.normed.data(), scratch.q.data(),
-                    batch, scratch);
-    batched_project(block.k_proj, scratch.normed.data(),
-                    scratch.k_new.data(), batch, scratch);
-    batched_project(block.v_proj, scratch.normed.data(),
-                    scratch.v_new.data(), batch, scratch);
+    project(block.q_proj, scratch.normed.data(), scratch.q.data(), batch);
+    project(block.k_proj, scratch.normed.data(), scratch.k_new.data(), batch);
+    project(block.v_proj, scratch.normed.data(), scratch.v_new.data(), batch);
 
     for_each_row([&](std::size_t bi) {
       const auto b = static_cast<std::int64_t>(bi);
@@ -381,8 +323,7 @@ void batched_decode_step(const TransformerModel& model,
                     row_f(scratch.scores, b, seq));
     });
 
-    batched_project(block.o_proj, scratch.att.data(), scratch.proj.data(),
-                    batch, scratch);
+    project(block.o_proj, scratch.att.data(), scratch.proj.data(), batch);
     for (std::int64_t b = 0; b < batch; ++b) {
       add_row(row_f(scratch.x, b, d), row_f(scratch.proj, b, d));
     }
@@ -391,15 +332,12 @@ void batched_decode_step(const TransformerModel& model,
       rmsnorm_row(row_f(scratch.x, b, d), block.post_norm.value.values(),
                   config.norm_eps, row_f(scratch.normed, b, d));
     }
-    batched_project(block.gate_proj, scratch.normed.data(),
-                    scratch.gate.data(), batch, scratch);
-    batched_project(block.up_proj, scratch.normed.data(), scratch.up.data(),
-                    batch, scratch);
+    project(block.gate_proj, scratch.normed.data(), scratch.gate.data(), batch);
+    project(block.up_proj, scratch.normed.data(), scratch.up.data(), batch);
     for (std::int64_t b = 0; b < batch; ++b) {
       swiglu_row(row_f(scratch.gate, b, d_ff), row_f(scratch.up, b, d_ff));
     }
-    batched_project(block.down_proj, scratch.gate.data(),
-                    scratch.proj.data(), batch, scratch);
+    project(block.down_proj, scratch.gate.data(), scratch.proj.data(), batch);
     for (std::int64_t b = 0; b < batch; ++b) {
       add_row(row_f(scratch.x, b, d), row_f(scratch.proj, b, d));
     }
@@ -409,8 +347,7 @@ void batched_decode_step(const TransformerModel& model,
     rmsnorm_row(row_f(scratch.x, b, d), model.final_norm().value.values(),
                 config.norm_eps, row_f(scratch.normed, b, d));
   }
-  batched_project(model.embed(), scratch.normed.data(), logits.data(), batch,
-                  scratch);
+  project(model.embed(), scratch.normed.data(), logits.data(), batch);
   for (std::int64_t b = 0; b < batch; ++b) ++states[b]->position;
 }
 
@@ -427,8 +364,8 @@ void verify_step(const TransformerModel& model, SessionState& state,
                block_len * config.vocab_size,
            "verify_step logits size");
   if (block_len == 1) {
-    // One-token blocks take the matvec path: bit-identical (the kernel
-    // contract), and parallel_matvec fans the logits row over the pool.
+    // One-token blocks take the serial step: identical bits (the kernel
+    // contract), without the block bookkeeping.
     decode_step(model, state, scratch, tokens[0], logits);
     return;
   }
@@ -481,12 +418,11 @@ void verify_step(const TransformerModel& model, SessionState& state,
       rmsnorm_row(row_f(scratch.x, t, d), block.input_norm.value.values(),
                   config.norm_eps, row_f(scratch.normed, t, d));
     }
-    batched_project(block.q_proj, scratch.normed.data(), scratch.q.data(),
-                    block_len, scratch);
-    batched_project(block.k_proj, scratch.normed.data(),
-                    scratch.k_new.data(), block_len, scratch);
-    batched_project(block.v_proj, scratch.normed.data(),
-                    scratch.v_new.data(), block_len, scratch);
+    project(block.q_proj, scratch.normed.data(), scratch.q.data(), block_len);
+    project(block.k_proj, scratch.normed.data(), scratch.k_new.data(),
+            block_len);
+    project(block.v_proj, scratch.normed.data(), scratch.v_new.data(),
+            block_len);
 
     for_each_row([&](std::size_t ti) {
       const auto t = static_cast<std::int64_t>(ti);
@@ -512,8 +448,7 @@ void verify_step(const TransformerModel& model, SessionState& state,
                     row_f(scratch.att, t, d), row_f(scratch.scores, t, seq));
     });
 
-    batched_project(block.o_proj, scratch.att.data(), scratch.proj.data(),
-                    block_len, scratch);
+    project(block.o_proj, scratch.att.data(), scratch.proj.data(), block_len);
     for (std::int64_t t = 0; t < block_len; ++t) {
       add_row(row_f(scratch.x, t, d), row_f(scratch.proj, t, d));
     }
@@ -522,15 +457,14 @@ void verify_step(const TransformerModel& model, SessionState& state,
       rmsnorm_row(row_f(scratch.x, t, d), block.post_norm.value.values(),
                   config.norm_eps, row_f(scratch.normed, t, d));
     }
-    batched_project(block.gate_proj, scratch.normed.data(),
-                    scratch.gate.data(), block_len, scratch);
-    batched_project(block.up_proj, scratch.normed.data(), scratch.up.data(),
-                    block_len, scratch);
+    project(block.gate_proj, scratch.normed.data(), scratch.gate.data(),
+            block_len);
+    project(block.up_proj, scratch.normed.data(), scratch.up.data(), block_len);
     for (std::int64_t t = 0; t < block_len; ++t) {
       swiglu_row(row_f(scratch.gate, t, d_ff), row_f(scratch.up, t, d_ff));
     }
-    batched_project(block.down_proj, scratch.gate.data(),
-                    scratch.proj.data(), block_len, scratch);
+    project(block.down_proj, scratch.gate.data(), scratch.proj.data(),
+            block_len);
     for (std::int64_t t = 0; t < block_len; ++t) {
       add_row(row_f(scratch.x, t, d), row_f(scratch.proj, t, d));
     }
@@ -540,8 +474,7 @@ void verify_step(const TransformerModel& model, SessionState& state,
     rmsnorm_row(row_f(scratch.x, t, d), model.final_norm().value.values(),
                 config.norm_eps, row_f(scratch.normed, t, d));
   }
-  batched_project(model.embed(), scratch.normed.data(), logits.data(),
-                  block_len, scratch);
+  project(model.embed(), scratch.normed.data(), logits.data(), block_len);
   state.position += block_len;
 }
 

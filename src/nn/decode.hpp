@@ -3,19 +3,19 @@
 /// \brief Token-decode steps over SessionState: serial and batched.
 ///
 /// decode_step() is the single-sequence step InferenceSession is built on:
-/// every projection runs on kernels::parallel_matvec, and attention walks
-/// the session's own KV cache. batched_decode_step() is the serving
+/// every projection is one kernels::project call at one row, and attention
+/// walks the session's own KV cache. batched_decode_step() is the serving
 /// engine's continuous-batching primitive: it coalesces the step of B
-/// independent sessions so each projection is ONE kernels::matmul_nt call
+/// independent sessions so each projection is ONE kernels::project call
 /// over the stacked activations ([B, d] against the shared weight matrix)
-/// instead of B separate matvecs — the weights stream through the cache
-/// once per step rather than once per session.
+/// instead of B separate ones — the weights stream through the cache once
+/// per step rather than once per session.
 ///
 /// Bitwise contract: row b of a batched step is bit-identical to a serial
-/// decode_step() of states[b]. Projections match because matmul_nt and
-/// matvec share the kernel layer's 8-lane fp64 reduction contract
-/// (kernels.hpp); everything else (RMSNorm, RoPE, attention, SwiGLU,
-/// residual adds) runs the same per-row helper code in both paths. The
+/// decode_step() of states[b]. Projections match because kernels::project
+/// gives every output the kernel layer's 8-lane fp64 reduction whatever
+/// the row count (kernels.hpp); everything else (RMSNorm, RoPE, attention,
+/// SwiGLU, residual adds) runs the same per-row helper code in both paths. The
 /// serving tests assert this equality at batch sizes 1/4/16.
 
 #include <cstdint>
@@ -44,7 +44,6 @@ struct DecodeScratch {
   std::vector<float> up;      ///< SwiGLU up [B, d_ff]
   std::vector<float> k_new;   ///< fresh K rows [B, kv_dim]
   std::vector<float> v_new;   ///< fresh V rows [B, kv_dim]
-  std::vector<float> nt_out;  ///< matmul_nt staging [max_out_dim, B]
   std::vector<float> scores;  ///< attention scores [B, max_seq_len]
 };
 
@@ -55,9 +54,10 @@ void decode_step(const TransformerModel& model, SessionState& state,
                  std::span<float> logits);
 
 /// Feeds tokens[b] to states[b] for every b and writes logits row-major
-/// [B, vocab] into `logits`. One matmul_nt per projection; the per-session
-/// attention fans across `pool` when given (sessions are independent, so
-/// any pool size produces identical bits). states must be distinct.
+/// [B, vocab] into `logits`. One kernels::project per projection; the
+/// per-session attention fans across `pool` when given (sessions are
+/// independent, so any pool size produces identical bits). states must be
+/// distinct.
 void batched_decode_step(const TransformerModel& model,
                          std::span<SessionState* const> states,
                          std::span<const TokenId> tokens,
@@ -67,14 +67,14 @@ void batched_decode_step(const TransformerModel& model,
 /// Speculative-verify step: feeds the T = tokens.size() tokens to ONE
 /// session in a single pass — token t lands at position() + t — and writes
 /// logits row-major [T, vocab]. Like batched_decode_step it runs one
-/// matmul_nt per projection over the stacked [T, d] activations (the
+/// kernels::project per projection over the stacked [T, d] activations (the
 /// weights stream through the cache once per block instead of once per
 /// token), but the batch axis is consecutive positions of one sequence, so
 /// attention is block-causal: all T K/V rows are RoPE'd and stored first,
 /// then row t attends positions 0..position()+t. Advances position by T.
 ///
 /// Bitwise contract: row t is bit-identical to the logits of the t-th of T
-/// serial decode_step() calls (same matmul_nt/matvec kernel equivalence and
+/// serial decode_step() calls (same row-count-invariant projections and
 /// shared per-row helpers as the batched path), which is what lets greedy
 /// speculative decoding accept drafted tokens without changing output bits.
 /// T == 1 dispatches to decode_step(). Requires T <= scratch.max_batch and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <set>
 
 #include "io/json.hpp"
@@ -56,12 +55,17 @@ std::string ShardIndex::save(const std::string& dir) const {
 }
 
 ShardIndex ShardIndex::load(const std::string& index_path) {
-  std::ifstream file(index_path, std::ios::binary);
+  std::ifstream file(index_path, std::ios::binary | std::ios::ate);
   CA_CHECK(file.good(), "cannot open shard index '" << index_path << "'");
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
+  // One sized read, like read_safetensors_header: the manifest is parsed
+  // whole, so a failed size query or a short read is a damaged file.
+  const std::streamoff size = file.tellg();
+  std::string text(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  file.seekg(0, std::ios::beg);
+  file.read(text.data(), static_cast<std::streamsize>(text.size()));
   Json root;
   try {
+    CA_CHECK(size >= 0 && file.gcount() == size, "short read");
     root = Json::parse(text);
   } catch (const Error& e) {
     // A truncated or garbled manifest usually means the writing process

@@ -2,18 +2,18 @@
 /// \brief Backend dispatch plus fixed-shape blocking / thread-pool fan-out.
 ///
 /// Dispatch picks AVX2 when compiled in and supported by the CPU, else the
-/// generic backend. Matmuls above a work threshold fan fixed-size row or
-/// column blocks across the global ThreadPool; block geometry depends only
-/// on the problem shape (never thread count), and each output element is
-/// written by exactly one task, so results are bit-identical for any pool
-/// size — including the inline nested case (kernels called from merge
-/// workers).
+/// generic backend. Multiplies above one work threshold (kParallelMacs) fan
+/// fixed-size row, column or (row, weight-row) blocks across a ThreadPool;
+/// block geometry depends only on the problem shape (never thread count),
+/// and each output element is written by exactly one task, so results are
+/// bit-identical for any pool size — including the inline nested case
+/// (kernels called from merge workers).
 
 #include "tensor/kernels/kernels.hpp"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <vector>
 
 #include "tensor/kernels/backend.hpp"
 #include "util/thread_pool.hpp"
@@ -52,28 +52,18 @@ bool cpu_has_f16c() {
   return available && !g_force_generic;
 }
 
-/// Rows of output per parallel task (matmul / matmul_nt).
+/// Rows of output per parallel task (matmul).
 constexpr std::int64_t kRowBlock = 16;
 /// Output columns per parallel task (matmul_tn_accum).
 constexpr std::int64_t kColBlock = 1024;
-/// Output rows per parallel task (parallel_matvec).
-constexpr std::int64_t kMatvecRowBlock = 64;
+/// Activation rows and weight rows per parallel task (project). 24 rows is
+/// a whole number of AVX2 register tiles.
+constexpr std::int64_t kProjectRowBlock = 24;
+constexpr std::int64_t kProjectOutBlock = 64;
 /// Fan out across the pool only when the multiply does at least this many
-/// scalar MACs; below it, task overhead dominates.
-constexpr std::int64_t kParallelMacs = std::int64_t{1} << 22;
-
-/// Runtime override for the matvec fan-out threshold; 0 means "use the
-/// default" (env var or built-in). See matvec_parallel_macs() in the header.
-std::int64_t g_matvec_parallel_macs = 0;
-
-std::int64_t default_matvec_parallel_macs() {
-  if (const char* env = std::getenv("CHIPALIGN_MATVEC_PAR_MACS")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    if (end != env && parsed > 0) return parsed;
-  }
-  return std::int64_t{1} << 21;
-}
+/// scalar MACs (~2M, a few hundred microseconds of serial work); below it,
+/// waking workers costs more than the split recovers.
+constexpr std::int64_t kParallelMacs = std::int64_t{1} << 21;
 
 /// Splits [0, extent) into fixed `block`-sized chunks and runs body(lo, hi)
 /// for each, across the pool when the work is large enough. parallel_for
@@ -104,15 +94,6 @@ bool simd_available() {
 const char* backend_name() { return use_avx2() ? "avx2" : "generic"; }
 
 void force_generic(bool on) { g_force_generic = on; }
-
-std::int64_t matvec_parallel_macs() {
-  static const std::int64_t configured = default_matvec_parallel_macs();
-  return g_matvec_parallel_macs > 0 ? g_matvec_parallel_macs : configured;
-}
-
-void set_matvec_parallel_macs(std::int64_t macs) {
-  g_matvec_parallel_macs = macs;
-}
 
 double dot(const float* a, const float* b, std::size_t n) {
 #if defined(CHIPALIGN_HAVE_AVX2)
@@ -168,17 +149,6 @@ void matmul(const float* a, const float* b, float* c, std::int64_t m,
   });
 }
 
-void matmul_nt(const float* a, const float* b, float* c, std::int64_t m,
-               std::int64_t k, std::int64_t n) {
-  blocked_parallel(m, kRowBlock, m * k * n, [&](std::int64_t i0,
-                                                std::int64_t i1) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-    if (use_avx2()) return avx2::matmul_nt_rows(a, b, c, i0, i1, k, n);
-#endif
-    generic::matmul_nt_rows(a, b, c, i0, i1, k, n);
-  });
-}
-
 void matmul_tn_accum(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n) {
   blocked_parallel(n, kColBlock, m * k * n, [&](std::int64_t j0,
@@ -190,91 +160,85 @@ void matmul_tn_accum(const float* a, const float* b, float* c, std::int64_t m,
   });
 }
 
-void matvec(const float* w, const float* x, float* y, std::int64_t out_dim,
-            std::int64_t in_dim) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-  if (use_avx2()) return avx2::matvec_rows(w, x, y, 0, out_dim, in_dim);
-#endif
-  generic::matvec_rows(w, x, y, 0, out_dim, in_dim);
-}
-
-void parallel_matvec(const float* w, const float* x, float* y,
-                     std::int64_t out_dim, std::int64_t in_dim,
-                     ThreadPool* pool) {
-  const std::int64_t blocks =
-      (out_dim + kMatvecRowBlock - 1) / kMatvecRowBlock;
-  if (blocks <= 1 || out_dim * in_dim < matvec_parallel_macs()) {
-    matvec(w, x, y, out_dim, in_dim);
-    return;
-  }
-  ThreadPool& chosen = pool != nullptr ? *pool : global_thread_pool();
-  chosen.parallel_for(
-      static_cast<std::size_t>(blocks), [&](std::size_t index) {
-        const std::int64_t o0 =
-            static_cast<std::int64_t>(index) * kMatvecRowBlock;
-        const std::int64_t o1 = std::min(o0 + kMatvecRowBlock, out_dim);
-#if defined(CHIPALIGN_HAVE_AVX2)
-        if (use_avx2()) return avx2::matvec_rows(w, x, y, o0, o1, in_dim);
-#endif
-        generic::matvec_rows(w, x, y, o0, o1, in_dim);
-      });
-}
-
-// -- quantized dispatch ------------------------------------------------------
+// -- projections --------------------------------------------------------------
 
 namespace {
 
-/// parallel_matvec's fan-out shape, shared by every quantized variant: the
-/// same kMatvecRowBlock blocks and MAC threshold, with rows_fn(o0, o1)
-/// computing each block. Geometry depends only on the problem shape.
-template <typename RowsFn>
-void parallel_matvec_blocks(std::int64_t out_dim, std::int64_t in_dim,
-                            ThreadPool* pool, const RowsFn& rows_fn) {
-  const std::int64_t blocks =
-      (out_dim + kMatvecRowBlock - 1) / kMatvecRowBlock;
-  if (blocks <= 1 || out_dim * in_dim < matvec_parallel_macs()) {
-    rows_fn(std::int64_t{0}, out_dim);
+/// Rows [r0, r1) x weight rows [o0, o1): widens those activation rows to
+/// fp64 — once per panel, so no tile converts an activation again — then
+/// runs the backend. The buffer is the running thread's own and holds at
+/// most kProjectRowBlock rows; weights are never widened in memory.
+void project_panel(const WeightView& w, const float* x, const ProjectOut& out,
+                   std::int64_t r0, std::int64_t r1, std::int64_t o0,
+                   std::int64_t o1) {
+  thread_local std::vector<double> xd;
+  const auto count = static_cast<std::size_t>((r1 - r0) * w.cols);
+  if (xd.size() < count) xd.resize(count);
+  const float* src = x + r0 * w.cols;
+  for (std::size_t i = 0; i < count; ++i) {
+    xd[i] = static_cast<double>(src[i]);
+  }
+#if defined(CHIPALIGN_HAVE_AVX2)
+  if (w.dtype == DType::kF16 ? use_avx2_f16() : use_avx2()) {
+    return avx2::project_block(w, xd.data(), out, r0, r1, o0, o1);
+  }
+#endif
+  generic::project_block(w, xd.data(), out, r0, r1, o0, o1);
+}
+
+/// project() with an explicit output placement (matmul_nt_i8 writes the
+/// transpose). Blocks of kProjectRowBlock rows x kProjectOutBlock weight
+/// rows fan out above kParallelMacs; geometry depends only on the shape.
+void project_into(const WeightView& w, const float* x, const ProjectOut& out,
+                  std::int64_t n_rows, ThreadPool* pool) {
+  CA_CHECK(w.data != nullptr || w.rows * w.cols == 0,
+           "project: weight view has no data");
+  CA_CHECK(w.dtype != DType::kI8 || w.scales != nullptr,
+           "project: int8 weights need per-row scales");
+  if (n_rows <= 0 || w.rows <= 0) return;
+  const std::int64_t row_blocks =
+      (n_rows + kProjectRowBlock - 1) / kProjectRowBlock;
+  const std::int64_t out_blocks =
+      (w.rows + kProjectOutBlock - 1) / kProjectOutBlock;
+  if (n_rows * w.rows * w.cols < kParallelMacs ||
+      row_blocks * out_blocks <= 1) {
+    for (std::int64_t r0 = 0; r0 < n_rows; r0 += kProjectRowBlock) {
+      project_panel(w, x, out, r0, std::min(r0 + kProjectRowBlock, n_rows), 0,
+                    w.rows);
+    }
     return;
   }
   ThreadPool& chosen = pool != nullptr ? *pool : global_thread_pool();
   chosen.parallel_for(
-      static_cast<std::size_t>(blocks), [&](std::size_t index) {
-        const std::int64_t o0 =
-            static_cast<std::int64_t>(index) * kMatvecRowBlock;
-        rows_fn(o0, std::min(o0 + kMatvecRowBlock, out_dim));
+      static_cast<std::size_t>(row_blocks * out_blocks),
+      [&](std::size_t index) {
+        const auto block = static_cast<std::int64_t>(index);
+        const std::int64_t r0 = (block / out_blocks) * kProjectRowBlock;
+        const std::int64_t o0 = (block % out_blocks) * kProjectOutBlock;
+        project_panel(w, x, out, r0, std::min(r0 + kProjectRowBlock, n_rows),
+                      o0, std::min(o0 + kProjectOutBlock, w.rows));
       });
 }
 
-void matvec_f16_rows_dispatch(const std::uint16_t* w, const float* x,
-                              float* y, std::int64_t o0, std::int64_t o1,
-                              std::int64_t in_dim) {
-#if defined(CHIPALIGN_HAVE_F16C)
-  if (use_avx2_f16()) return avx2::matvec_f16_rows(w, x, y, o0, o1, in_dim);
-#endif
-  generic::matvec_f16_rows(w, x, y, o0, o1, in_dim);
-}
-
-void matvec_bf16_rows_dispatch(const std::uint16_t* w, const float* x,
-                               float* y, std::int64_t o0, std::int64_t o1,
-                               std::int64_t in_dim) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-  if (use_avx2()) return avx2::matvec_bf16_rows(w, x, y, o0, o1, in_dim);
-#endif
-  generic::matvec_bf16_rows(w, x, y, o0, o1, in_dim);
-}
-
-void matvec_i8_rows_dispatch(const std::int8_t* w, const float* scales,
-                             const float* x, float* y, std::int64_t o0,
-                             std::int64_t o1, std::int64_t in_dim) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-  if (use_avx2()) {
-    return avx2::matvec_i8_rows(w, scales, x, y, o0, o1, in_dim);
-  }
-#endif
-  generic::matvec_i8_rows(w, scales, x, y, o0, o1, in_dim);
-}
-
 }  // namespace
+
+void project(const WeightView& w, const float* x, float* y,
+             std::int64_t n_rows, ThreadPool* pool) {
+  project_into(w, x, ProjectOut{y, w.rows, 1}, n_rows, pool);
+}
+
+void matmul_nt(const float* a, const float* b, float* c, std::int64_t m,
+               std::int64_t k, std::int64_t n) {
+  project(WeightView{DType::kF32, b, nullptr, n, k}, a, c, m);
+}
+
+void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
+                  float* c, std::int64_t m, std::int64_t k, std::int64_t n) {
+  project_into(WeightView{DType::kI8, a, a_scales, m, k}, b,
+               ProjectOut{c, 1, n}, n, nullptr);
+}
+
+// -- quantized helpers --------------------------------------------------------
 
 double dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
 #if defined(CHIPALIGN_HAVE_F16C)
@@ -302,83 +266,6 @@ void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
   if (use_avx2_f16()) return avx2::axpy_f16(alpha, x, y, n);
 #endif
   generic::axpy_f16(alpha, x, y, n);
-}
-
-void matvec_f16(const std::uint16_t* w, const float* x, float* y,
-                std::int64_t out_dim, std::int64_t in_dim) {
-  matvec_f16_rows_dispatch(w, x, y, 0, out_dim, in_dim);
-}
-
-void matvec_bf16(const std::uint16_t* w, const float* x, float* y,
-                 std::int64_t out_dim, std::int64_t in_dim) {
-  matvec_bf16_rows_dispatch(w, x, y, 0, out_dim, in_dim);
-}
-
-void matvec_i8(const std::int8_t* w, const float* scales, const float* x,
-               float* y, std::int64_t out_dim, std::int64_t in_dim) {
-  matvec_i8_rows_dispatch(w, scales, x, y, 0, out_dim, in_dim);
-}
-
-void parallel_matvec_f16(const std::uint16_t* w, const float* x, float* y,
-                         std::int64_t out_dim, std::int64_t in_dim,
-                         ThreadPool* pool) {
-  parallel_matvec_blocks(out_dim, in_dim, pool,
-                         [&](std::int64_t o0, std::int64_t o1) {
-                           matvec_f16_rows_dispatch(w, x, y, o0, o1, in_dim);
-                         });
-}
-
-void parallel_matvec_bf16(const std::uint16_t* w, const float* x, float* y,
-                          std::int64_t out_dim, std::int64_t in_dim,
-                          ThreadPool* pool) {
-  parallel_matvec_blocks(out_dim, in_dim, pool,
-                         [&](std::int64_t o0, std::int64_t o1) {
-                           matvec_bf16_rows_dispatch(w, x, y, o0, o1, in_dim);
-                         });
-}
-
-void parallel_matvec_i8(const std::int8_t* w, const float* scales,
-                        const float* x, float* y, std::int64_t out_dim,
-                        std::int64_t in_dim, ThreadPool* pool) {
-  parallel_matvec_blocks(
-      out_dim, in_dim, pool, [&](std::int64_t o0, std::int64_t o1) {
-        matvec_i8_rows_dispatch(w, scales, x, y, o0, o1, in_dim);
-      });
-}
-
-void matmul_nt_f16(const std::uint16_t* a, const float* b, float* c,
-                   std::int64_t m, std::int64_t k, std::int64_t n) {
-  blocked_parallel(m, kRowBlock, m * k * n, [&](std::int64_t i0,
-                                                std::int64_t i1) {
-#if defined(CHIPALIGN_HAVE_F16C)
-    if (use_avx2_f16()) return avx2::matmul_nt_f16_rows(a, b, c, i0, i1, k, n);
-#endif
-    generic::matmul_nt_f16_rows(a, b, c, i0, i1, k, n);
-  });
-}
-
-void matmul_nt_bf16(const std::uint16_t* a, const float* b, float* c,
-                    std::int64_t m, std::int64_t k, std::int64_t n) {
-  blocked_parallel(m, kRowBlock, m * k * n, [&](std::int64_t i0,
-                                                std::int64_t i1) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-    if (use_avx2()) return avx2::matmul_nt_bf16_rows(a, b, c, i0, i1, k, n);
-#endif
-    generic::matmul_nt_bf16_rows(a, b, c, i0, i1, k, n);
-  });
-}
-
-void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
-                  float* c, std::int64_t m, std::int64_t k, std::int64_t n) {
-  blocked_parallel(m, kRowBlock, m * k * n, [&](std::int64_t i0,
-                                                std::int64_t i1) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-    if (use_avx2()) {
-      return avx2::matmul_nt_i8_rows(a, a_scales, b, c, i0, i1, k, n);
-    }
-#endif
-    generic::matmul_nt_i8_rows(a, a_scales, b, c, i0, i1, k, n);
-  });
 }
 
 }  // namespace chipalign::kernels

@@ -4,9 +4,9 @@
 ///
 /// This layer provides the hot inner loops behind tensor_ops: dot, norm,
 /// axpy, scale, hadamard, the fused scaled_sum (a*x + b*y — the SLERP
-/// combine), blocked matmul variants, and the matvec family driving
-/// token-by-token inference. Two backends implement the same bit-level
-/// contract:
+/// combine), blocked matmul variants, and project(), the one projection
+/// entry behind every decode, batched-serving and verify step. Two backends
+/// implement the same bit-level contract:
 ///
 ///   - generic: unrolled multi-accumulator scalar code the compiler can
 ///     auto-vectorize; always compiled.
@@ -39,26 +39,29 @@
 /// whose summation shape *defines* the contract. Property tests assert
 /// bitwise equality of every backend against it on random shapes.
 ///
-/// Large matmuls parallelize across the global ThreadPool in fixed-size row
-/// (matmul, matmul_nt) or column (matmul_tn_accum) blocks; block geometry
-/// depends only on the problem shape, never on the thread count.
+/// Large multiplies parallelize across a ThreadPool in fixed-size row
+/// (matmul), column (matmul_tn_accum) or (row, weight-row) (project) blocks;
+/// block geometry depends only on the problem shape, never on the thread
+/// count.
 ///
-/// ## Quantized kernels
+/// ## Quantized weights
 ///
-/// The _f16 / _bf16 / _i8 variants read sub-fp32 weight storage and
-/// dequantize on the fly. Every stored element converts *exactly* to fp32
-/// (f16 and bf16 are fp32 subsets; int8 codes are small integers) before
-/// feeding the same 8-lane fp64 reduction, so the contract above — bitwise
-/// run-to-run, thread-count and backend invariance — holds unchanged. The
-/// int8 per-row scale is factored out of the reduction and applied once per
-/// output in fp64 (y[o] = float(scale[o] * dot), with the dot's lanes
-/// accumulating exact double(q)*double(x) products), so the scale never
-/// perturbs lane order. The AVX2 f16 path additionally requires F16C
-/// (probed at compile time, checked at runtime) and falls back to the
-/// generic backend without it.
+/// project() and the _f16 / _bf16 / _i8 helpers read sub-fp32 weight
+/// storage and dequantize on the fly. Every stored element converts
+/// *exactly* to fp32 (f16 and bf16 are fp32 subsets; int8 codes are small
+/// integers) before feeding the same 8-lane fp64 reduction, so the
+/// contract above — bitwise run-to-run, thread-count and backend
+/// invariance — holds unchanged. The int8 per-row scale is factored out of
+/// the reduction and applied once per output in fp64 (y[o] =
+/// float(scale[o] * dot), with the dot's lanes accumulating exact
+/// double(q)*double(x) products), so the scale never perturbs lane order.
+/// The AVX2 f16 path additionally requires F16C (probed at compile time,
+/// checked at runtime) and falls back to the generic backend without it.
 
 #include <cstddef>
 #include <cstdint>
+
+#include "tensor/dtype.hpp"
 
 namespace chipalign {
 class ThreadPool;
@@ -79,24 +82,7 @@ const char* backend_name();
 /// backend. Not thread-safe; flip only around single-threaded test sections.
 void force_generic(bool on);
 
-// -- tuning ------------------------------------------------------------------
-
-/// MAC threshold below which parallel_matvec runs serially. The default is
-/// 2^21 (~2M MACs, roughly half a millisecond of serial work): profiling
-/// the decode path showed that even with the work-sharing parallel_for
-/// dispatch, fanning out sub-half-millisecond projections loses more to
-/// worker wake-up latency than the parallelism recovers (the near-1.0x
-/// 1→4-thread scaling ROADMAP item 5 describes). Overridable per host via
-/// the CHIPALIGN_MATVEC_PAR_MACS environment variable (read once) or
-/// set_matvec_parallel_macs().
-std::int64_t matvec_parallel_macs();
-
-/// Overrides the parallel_matvec threshold; 0 restores the built-in/env
-/// default. Like force_generic, not thread-safe: set it before spinning up
-/// concurrent work (bench/test hook).
-void set_matvec_parallel_macs(std::int64_t macs);
-
-// -- reductions (8-lane double accumulation, fixed combine tree) -------------
+// -- reductions (8-lane double accumulation, fixed combine tree) --------------
 
 /// Sum of elementwise products, accumulated per the reduction contract.
 double dot(const float* a, const float* b, std::size_t n);
@@ -104,7 +90,7 @@ double dot(const float* a, const float* b, std::size_t n);
 /// Euclidean norm: sqrt of the contract-reduced sum of squares.
 double norm(const float* a, std::size_t n);
 
-// -- elementwise kernels (per-element mul/add, no contraction) ---------------
+// -- elementwise kernels (per-element mul/add, no contraction) ----------------
 
 /// y[i] += alpha * x[i].
 void axpy(float alpha, const float* x, float* y, std::size_t n);
@@ -128,7 +114,8 @@ void matmul(const float* a, const float* b, float* c, std::int64_t m,
             std::int64_t k, std::int64_t n);
 
 /// c[m,n] = a[m,k] @ b[n,k]^T: c[i,j] is the contract-reduced dot of row i
-/// of a and row j of b (fp64 lanes, like dot()).
+/// of a and row j of b (fp64 lanes, like dot()). project() with b as the
+/// fp32 weight matrix and a as its m activation rows.
 void matmul_nt(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n);
 
@@ -136,25 +123,36 @@ void matmul_nt(const float* a, const float* b, float* c, std::int64_t m,
 void matmul_tn_accum(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n);
 
-// -- matvec kernels (the token-decode hot path) -------------------------------
+// -- projections (the token-decode / serving hot path) ------------------------
 
-/// y[o] = dot(w row o, x) for w [out_dim, in_dim] row-major: each output is
-/// the contract-reduced (8-lane fp64, fixed pairwise tree) inner product, so
-/// matvec(w, x, ...) == matmul_nt(x, w, ...) bit-for-bit on the same data.
-/// Serial over rows.
-void matvec(const float* w, const float* x, float* y, std::int64_t out_dim,
-            std::int64_t in_dim);
+/// A row-major [rows, cols] weight matrix in one storage dtype: fp32
+/// (`data` is float), fp16 / bf16 bit patterns (std::uint16_t) or int8
+/// codes (std::int8_t) with one fp32 scale per row in `scales`.
+struct WeightView {
+  DType dtype = DType::kF32;
+  const void* data = nullptr;
+  const float* scales = nullptr;  ///< [rows], kI8 only
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+};
 
-/// Row-blocked matvec fanned across `pool` (nullptr selects the global
-/// pool). Every y[o] is computed by exactly one task with the same per-row
-/// reduction as matvec(), so the result is bitwise identical to matvec()
-/// for any pool size — including pool == nullptr inside a pool worker,
-/// where the fan-out runs inline. Small problems stay serial.
-void parallel_matvec(const float* w, const float* x, float* y,
-                     std::int64_t out_dim, std::int64_t in_dim,
-                     ThreadPool* pool = nullptr);
+/// y[r * w.rows + o] = dot(W row o, x row r) for r in [0, n_rows), with x
+/// row-major [n_rows, w.cols]: the contract-reduced (8-lane fp64, fixed
+/// pairwise tree) inner product, applied to the exactly dequantized weight
+/// row; int8 outputs are float(double(scales[o]) * dot). One row is a
+/// matvec, B rows a batched decode step, T rows a verify block — every
+/// output has the same bits whatever the row count, the tiling or the
+/// backend, so project(w, x, y, 1) == kernels::ref::matvec (and the _f16 /
+/// _bf16 / _i8 variants) bit-for-bit.
+///
+/// Above a fixed amount of work the (row, weight-row) blocks fan across
+/// `pool` (nullptr selects the global pool); each output is written by
+/// exactly one task, so the result is identical for any pool size,
+/// including the inline nested case inside a pool worker.
+void project(const WeightView& w, const float* x, float* y,
+             std::int64_t n_rows, ThreadPool* pool = nullptr);
 
-// -- quantized kernels (dequantize-on-the-fly, same reduction contract) ------
+// -- quantized helpers (dequantize-on-the-fly, same reduction contract) -------
 
 /// dot() with `a` stored as fp16 bit patterns: each element converts exactly
 /// to fp32 before entering the 8-lane fp64 reduction.
@@ -170,45 +168,16 @@ double dot_i8(const std::int8_t* q, const float* x, std::size_t n);
 /// y[i] += alpha * f16(x[i]) — the fp16 KV-cache attention accumulate.
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
 
-/// matvec() over fp16-stored weights: y[o] = float(dot_f16(w row o, x)).
-void matvec_f16(const std::uint16_t* w, const float* x, float* y,
-                std::int64_t out_dim, std::int64_t in_dim);
-
-/// matvec() over bf16-stored weights.
-void matvec_bf16(const std::uint16_t* w, const float* x, float* y,
-                 std::int64_t out_dim, std::int64_t in_dim);
-
-/// matvec() over int8 weights with per-row scales:
-/// y[o] = float(double(scales[o]) * dot_i8(w row o, x)).
-void matvec_i8(const std::int8_t* w, const float* scales, const float* x,
-               float* y, std::int64_t out_dim, std::int64_t in_dim);
-
-/// parallel_matvec() counterparts: identical per-row arithmetic, fanned in
-/// the same fixed row blocks, bitwise equal to the serial variants for any
-/// pool size.
-void parallel_matvec_f16(const std::uint16_t* w, const float* x, float* y,
-                         std::int64_t out_dim, std::int64_t in_dim,
-                         ThreadPool* pool = nullptr);
-void parallel_matvec_bf16(const std::uint16_t* w, const float* x, float* y,
-                          std::int64_t out_dim, std::int64_t in_dim,
-                          ThreadPool* pool = nullptr);
-void parallel_matvec_i8(const std::int8_t* w, const float* scales,
-                        const float* x, float* y, std::int64_t out_dim,
-                        std::int64_t in_dim, ThreadPool* pool = nullptr);
-
-/// matmul_nt() with a quantized A operand (the batched-decode projections:
-/// A = weights [m,k], B = activations [n,k]). Row i of the output uses the
-/// exact matvec_* per-row arithmetic, so batched decode stays bitwise equal
-/// to serial decode under quantization.
-void matmul_nt_f16(const std::uint16_t* a, const float* b, float* c,
-                   std::int64_t m, std::int64_t k, std::int64_t n);
-void matmul_nt_bf16(const std::uint16_t* a, const float* b, float* c,
-                    std::int64_t m, std::int64_t k, std::int64_t n);
+/// matmul_nt() with int8 weights as the A operand: c[i,j] =
+/// float(double(a_scales[i]) * dot_i8(a row i, b row j)), i.e. project()
+/// over the [m, k] int8 weights and n activation rows, with the output laid
+/// out [m, n] (weight-row major) rather than project()'s [n, m].
 void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
                   float* c, std::int64_t m, std::int64_t k, std::int64_t n);
 
 /// Retained scalar reference: the executable definition of the contract.
-/// Every kernels::X above must equal kernels::ref::X bit-for-bit.
+/// Every kernels::X above must equal kernels::ref::X bit-for-bit; the
+/// ref::matvec* and ref::matmul_nt* variants specify project().
 namespace ref {
 double dot(const float* a, const float* b, std::size_t n);
 double norm(const float* a, std::size_t n);

@@ -12,6 +12,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/half.hpp"
@@ -22,116 +23,50 @@ namespace chipalign::kernels::avx2 {
 
 namespace {
 
-/// Contract-shaped dot: 8 fp64 lanes (acc_lo = offsets 0..3 of each 8-block,
-/// acc_hi = offsets 4..7), fixed pairwise combine.
-inline double dot_lanes(const float* a, const float* b, std::size_t n) {
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  const std::size_t n8 = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < n8; i += kLanes) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
-    const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(va, 1));
-    const __m256d b_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vb));
-    const __m256d b_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1));
-    acc_lo = _mm256_fmadd_pd(a_lo, b_lo, acc_lo);
-    acc_hi = _mm256_fmadd_pd(a_hi, b_hi, acc_hi);
-  }
-  double lanes[kLanes];
-  _mm256_storeu_pd(lanes, acc_lo);
-  _mm256_storeu_pd(lanes + 4, acc_hi);
-  for (std::size_t i = n8; i < n; ++i) {
-    lanes[i - n8] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return combine_lanes(lanes);
-}
-
-/// Four rows of W against one x at once. Each row keeps its own pair of
-/// fp64 lane accumulators and performs the exact dot_lanes arithmetic
-/// sequence, so the results are bitwise identical to four dot_lanes calls;
-/// the converted x halves are shared, and the four independent FMA chains
-/// hide the fp64 FMA latency that serializes a single row (the decode
-/// matvec hot path is ~2x faster for it).
-inline void dot4_lanes(const float* w0, const float* w1, const float* w2,
-                       const float* w3, const float* x, float* y,
-                       std::size_t n) {
-  __m256d a0_lo = _mm256_setzero_pd();
-  __m256d a0_hi = _mm256_setzero_pd();
-  __m256d a1_lo = _mm256_setzero_pd();
-  __m256d a1_hi = _mm256_setzero_pd();
-  __m256d a2_lo = _mm256_setzero_pd();
-  __m256d a2_hi = _mm256_setzero_pd();
-  __m256d a3_lo = _mm256_setzero_pd();
-  __m256d a3_hi = _mm256_setzero_pd();
-  const std::size_t n8 = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < n8; i += kLanes) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256d x_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vx));
-    const __m256d x_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(vx, 1));
-    const __m256 v0 = _mm256_loadu_ps(w0 + i);
-    a0_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v0)),
-                            x_lo, a0_lo);
-    a0_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v0, 1)),
-                            x_hi, a0_hi);
-    const __m256 v1 = _mm256_loadu_ps(w1 + i);
-    a1_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v1)),
-                            x_lo, a1_lo);
-    a1_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v1, 1)),
-                            x_hi, a1_hi);
-    const __m256 v2 = _mm256_loadu_ps(w2 + i);
-    a2_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v2)),
-                            x_lo, a2_lo);
-    a2_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v2, 1)),
-                            x_hi, a2_hi);
-    const __m256 v3 = _mm256_loadu_ps(w3 + i);
-    a3_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v3)),
-                            x_lo, a3_lo);
-    a3_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v3, 1)),
-                            x_hi, a3_hi);
-  }
-  double lanes[4][kLanes];
-  _mm256_storeu_pd(lanes[0], a0_lo);
-  _mm256_storeu_pd(lanes[0] + 4, a0_hi);
-  _mm256_storeu_pd(lanes[1], a1_lo);
-  _mm256_storeu_pd(lanes[1] + 4, a1_hi);
-  _mm256_storeu_pd(lanes[2], a2_lo);
-  _mm256_storeu_pd(lanes[2] + 4, a2_hi);
-  _mm256_storeu_pd(lanes[3], a3_lo);
-  _mm256_storeu_pd(lanes[3] + 4, a3_hi);
-  const float* rows[4] = {w0, w1, w2, w3};
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t i = n8; i < n; ++i) {
-      lanes[r][i - n8] +=
-          static_cast<double>(rows[r][i]) * static_cast<double>(x[i]);
-    }
-    y[r] = static_cast<float>(combine_lanes(lanes[r]));
-  }
-}
-
-// -- quantized loaders --------------------------------------------------------
+// -- load traits --------------------------------------------------------------
 //
-// Each loader expands 8 stored elements to an exact fp32 vector; the
-// templated dot bodies below then perform the identical fp64 FMA sequence
-// as dot_lanes / dot4_lanes, so quantized results match the scalar
-// reference bit-for-bit.
+// Each trait widens 8 stored elements to two fp64 halves (load: lanes 0..3
+// and 4..7) and one element for a scalar tail (scalar). Every stored value
+// converts exactly (f16 and bf16 are fp32 subsets, int8 codes small
+// integers), so the templated bodies below perform the identical fp64
+// sequence whatever the dtype and match the scalar reference bit-for-bit.
+
+/// Widens 8 exact fp32 values to two fp64 halves: lanes 0..3 and 4..7.
+inline void widen(__m256 v, __m256d& lo, __m256d& hi) {
+  lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+}
+
+struct VLoadF32 {
+  using Elem = float;
+  static void load(const Elem* p, __m256d& lo, __m256d& hi) {
+    lo = _mm256_cvtps_pd(_mm_loadu_ps(p));
+    hi = _mm256_cvtps_pd(_mm_loadu_ps(p + 4));
+  }
+  static float scalar(Elem v) { return v; }
+};
 
 struct VLoadBF16 {
   using Elem = std::uint16_t;
-  static __m256 vec(const Elem* p) {
+  static void load(const Elem* p, __m256d& lo, __m256d& hi) {
     const __m128i raw =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    return _mm256_castsi256_ps(
-        _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
+    widen(_mm256_castsi256_ps(
+              _mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16)),
+          lo, hi);
   }
   static float scalar(Elem v) { return bf16_bits_to_f32(v); }
 };
 
 struct VLoadI8 {
   using Elem = std::int8_t;
-  static __m256 vec(const Elem* p) {
-    const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-    return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
+  /// int8 -> int32 -> fp64 directly: exact, and one conversion shorter
+  /// than going through fp32.
+  static void load(const Elem* p, __m256d& lo, __m256d& hi) {
+    const __m256i wide = _mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+    lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(wide));
+    hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(wide, 1));
   }
   static float scalar(Elem v) { return static_cast<float>(v); }
 };
@@ -143,24 +78,26 @@ struct VLoadF16 {
     return _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
   }
+  static void load(const Elem* p, __m256d& lo, __m256d& hi) {
+    widen(vec(p), lo, hi);
+  }
   static float scalar(Elem v) { return f16_bits_to_f32(v); }
 };
 #endif
 
-/// dot_lanes with a dequantizing load on the `a` stream.
+/// Contract-shaped dot: 8 fp64 lanes (acc_lo = offsets 0..3 of each 8-block,
+/// acc_hi = offsets 4..7), fixed pairwise combine, with the trait's load on
+/// the `a` stream.
 template <typename L>
-inline double dot_lanes_q(const typename L::Elem* a, const float* b,
-                          std::size_t n) {
+inline double dot_lanes(const typename L::Elem* a, const float* b,
+                        std::size_t n) {
   __m256d acc_lo = _mm256_setzero_pd();
   __m256d acc_hi = _mm256_setzero_pd();
   const std::size_t n8 = n & ~(kLanes - 1);
   for (std::size_t i = 0; i < n8; i += kLanes) {
-    const __m256 va = L::vec(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    const __m256d a_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
-    const __m256d a_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(va, 1));
-    const __m256d b_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vb));
-    const __m256d b_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1));
+    __m256d a_lo, a_hi, b_lo, b_hi;
+    L::load(a + i, a_lo, a_hi);
+    VLoadF32::load(b + i, b_lo, b_hi);
     acc_lo = _mm256_fmadd_pd(a_lo, b_lo, acc_lo);
     acc_hi = _mm256_fmadd_pd(a_hi, b_hi, acc_hi);
   }
@@ -174,97 +111,222 @@ inline double dot_lanes_q(const typename L::Elem* a, const float* b,
   return combine_lanes(lanes);
 }
 
-/// dot4_lanes over quantized rows: identical per-row arithmetic to four
-/// dot_lanes_q calls, shared converted x halves, four independent FMA
-/// chains. Outputs the raw fp64 dots so the int8 caller can apply per-row
-/// scales before the final float cast.
-template <typename L>
-inline void dot4_lanes_q(const typename L::Elem* w0,
-                         const typename L::Elem* w1,
-                         const typename L::Elem* w2,
-                         const typename L::Elem* w3, const float* x,
-                         double* out, std::size_t n) {
-  __m256d a0_lo = _mm256_setzero_pd();
-  __m256d a0_hi = _mm256_setzero_pd();
-  __m256d a1_lo = _mm256_setzero_pd();
-  __m256d a1_hi = _mm256_setzero_pd();
-  __m256d a2_lo = _mm256_setzero_pd();
-  __m256d a2_hi = _mm256_setzero_pd();
-  __m256d a3_lo = _mm256_setzero_pd();
-  __m256d a3_hi = _mm256_setzero_pd();
+// -- the projection microkernel -----------------------------------------------
+
+/// Register tiles, activation rows (M) x weight rows (N): 3x2 whenever a
+/// block has two or more activation rows, 1x4 for a single row (a 1x2 tile
+/// leaves the FMA latency exposed). Each keeps at most 12 accumulators plus
+/// one widened weight 8-block in the 16 ymm registers.
+constexpr int kTileRows = 3;
+constexpr int kTileOut = 2;
+constexpr int kRowTileOut = 4;
+
+/// The 8 contract lanes of one dot as two fp64 accumulators.
+struct Lanes {
+  __m256d lo = _mm256_setzero_pd();
+  __m256d hi = _mm256_setzero_pd();
+
+  void fma(__m256d w_lo, __m256d w_hi, const double* x) {
+    lo = _mm256_fmadd_pd(w_lo, _mm256_loadu_pd(x), lo);
+    hi = _mm256_fmadd_pd(w_hi, _mm256_loadu_pd(x + 4), hi);
+  }
+
+  /// combine_lanes in registers: hadd gives (l0+l1, l4+l5, l2+l3, l6+l7),
+  /// the halves add to ((l0+l1)+(l2+l3), (l4+l5)+(l6+l7)), and those two
+  /// add last — the same operations on the same operands.
+  double combine() const {
+    const __m256d pairs = _mm256_hadd_pd(lo, hi);
+    const __m128d quads = _mm_add_pd(_mm256_castpd256_pd128(pairs),
+                                     _mm256_extractf128_pd(pairs, 1));
+    return _mm_cvtsd_f64(_mm_add_sd(quads, _mm_unpackhi_pd(quads, quads)));
+  }
+};
+
+/// A k % 8 tail as a zero-padded 8-block: one more fma on it adds element
+/// n8 + l to lane l and 0 * 0 = +0.0 to the lanes past the tail, which
+/// leaves them unchanged (a lane starts at +0.0 and round-to-nearest never
+/// turns it into -0.0).
+template <typename T>
+struct Tail {
+  T v[kLanes] = {};
+  const T* fill(const T* p, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) v[i] = p[i];
+    return v;
+  }
+};
+
+/// Where a tile writes: output (i, j) — activation row i, weight row j of
+/// the tile — lands at y[i * row_stride + j * out_stride], scaled by
+/// scales[j] for int8 weights.
+struct TileOut {
+  float* y;
+  std::int64_t row_stride;
+  std::int64_t out_stride;
+  const float* scales;
+
+  void put(int i, int j, const Lanes& acc) const {
+    y[i * row_stride + j * out_stride] =
+        project_output(acc.combine(), scales, j);
+  }
+};
+
+/// One M x N register tile: weight rows w[0..N) against the fp64
+/// activation rows x[0..M). Every accumulator is a named variable and the
+/// body is unrolled by hand (if constexpr drops the unused ones): a rolled
+/// acc[M][N] loop nest spills to the stack at -O2. Each widened weight
+/// 8-block feeds M dots; every dot keeps dot_lanes' lane assignment and
+/// combine, so output (i, j) equals ref::dot(w_j, x_i) bit-for-bit.
+template <typename L, int M, int N>
+inline void tile(const typename L::Elem* const* w, const double* const* x,
+                 std::size_t n, const TileOut& out) {
+  static_assert(M >= 1 && M <= kTileRows && N >= 1 && N <= kRowTileOut &&
+                    (N <= kTileOut || M == 1),
+                "tile shape");
+  using Elem = typename L::Elem;
+  Lanes a00, a10, a20, a01, a11, a21, a02, a03;
+  // Widens 8-block i of a weight row once and feeds it to every row.
+  const auto feed = [](const Elem* p, const double* const* xs,
+                       std::size_t i, Lanes& c0, Lanes& c1, Lanes& c2) {
+    __m256d lo, hi;
+    L::load(p + i, lo, hi);
+    c0.fma(lo, hi, xs[0] + i);
+    if constexpr (M > 1) c1.fma(lo, hi, xs[1] + i);
+    if constexpr (M > 2) c2.fma(lo, hi, xs[2] + i);
+  };
+  const auto step = [&](const Elem* const* ws, const double* const* xs,
+                        std::size_t i) {
+    feed(ws[0], xs, i, a00, a10, a20);
+    if constexpr (N > 1) feed(ws[1], xs, i, a01, a11, a21);
+    // N > 2 only with M == 1: the second and third accumulators are unused.
+    if constexpr (N > 2) feed(ws[2], xs, i, a02, a02, a02);
+    if constexpr (N > 3) feed(ws[3], xs, i, a03, a03, a03);
+  };
   const std::size_t n8 = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < n8; i += kLanes) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256d x_lo = _mm256_cvtps_pd(_mm256_castps256_ps128(vx));
-    const __m256d x_hi = _mm256_cvtps_pd(_mm256_extractf128_ps(vx, 1));
-    const __m256 v0 = L::vec(w0 + i);
-    a0_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v0)),
-                            x_lo, a0_lo);
-    a0_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v0, 1)),
-                            x_hi, a0_hi);
-    const __m256 v1 = L::vec(w1 + i);
-    a1_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v1)),
-                            x_lo, a1_lo);
-    a1_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v1, 1)),
-                            x_hi, a1_hi);
-    const __m256 v2 = L::vec(w2 + i);
-    a2_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v2)),
-                            x_lo, a2_lo);
-    a2_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v2, 1)),
-                            x_hi, a2_hi);
-    const __m256 v3 = L::vec(w3 + i);
-    a3_lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(v3)),
-                            x_lo, a3_lo);
-    a3_hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(v3, 1)),
-                            x_hi, a3_hi);
+  for (std::size_t i = 0; i < n8; i += kLanes) step(w, x, i);
+  if (n8 < n) {
+    Tail<Elem> wt[N];
+    Tail<double> xt[M];
+    const Elem* ws[N];
+    const double* xs[M];
+    for (int j = 0; j < N; ++j) ws[j] = wt[j].fill(w[j] + n8, n - n8);
+    for (int r = 0; r < M; ++r) xs[r] = xt[r].fill(x[r] + n8, n - n8);
+    step(ws, xs, 0);
   }
-  double lanes[4][kLanes];
-  _mm256_storeu_pd(lanes[0], a0_lo);
-  _mm256_storeu_pd(lanes[0] + 4, a0_hi);
-  _mm256_storeu_pd(lanes[1], a1_lo);
-  _mm256_storeu_pd(lanes[1] + 4, a1_hi);
-  _mm256_storeu_pd(lanes[2], a2_lo);
-  _mm256_storeu_pd(lanes[2] + 4, a2_hi);
-  _mm256_storeu_pd(lanes[3], a3_lo);
-  _mm256_storeu_pd(lanes[3] + 4, a3_hi);
-  const typename L::Elem* rows[4] = {w0, w1, w2, w3};
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t i = n8; i < n; ++i) {
-      lanes[r][i - n8] += static_cast<double>(L::scalar(rows[r][i])) *
-                          static_cast<double>(x[i]);
-    }
-    out[r] = combine_lanes(lanes[r]);
+  out.put(0, 0, a00);
+  if constexpr (M > 1) out.put(1, 0, a10);
+  if constexpr (M > 2) out.put(2, 0, a20);
+  if constexpr (N > 1) {
+    out.put(0, 1, a01);
+    if constexpr (M > 1) out.put(1, 1, a11);
+    if constexpr (M > 2) out.put(2, 1, a21);
   }
+  if constexpr (N > 2) out.put(0, 2, a02);
+  if constexpr (N > 3) out.put(0, 3, a03);
 }
 
-/// Rows [o0, o1) of a quantized matvec, 4-row blocked like matvec_rows.
-template <typename L>
-inline void matvec_rows_q(const typename L::Elem* w, const float* x, float* y,
-                          std::int64_t o0, std::int64_t o1,
-                          std::int64_t in_dim) {
-  const auto n = static_cast<std::size_t>(in_dim);
-  std::int64_t o = o0;
-  for (; o + 4 <= o1; o += 4) {
-    const typename L::Elem* base = w + o * in_dim;
-    double d[4];
-    dot4_lanes_q<L>(base, base + in_dim, base + 2 * in_dim,
-                    base + 3 * in_dim, x, d, n);
-    for (std::size_t r = 0; r < 4; ++r) {
-      y[o + static_cast<std::int64_t>(r)] = static_cast<float>(d[r]);
-    }
+/// tile<L, m, N> for a runtime row count m in [1, M].
+template <typename L, int M, int N>
+inline void tile_rows(int m, const typename L::Elem* const* w,
+                      const double* const* x, std::size_t n,
+                      const TileOut& out) {
+  if constexpr (M > 1) {
+    if (m < M) return tile_rows<L, M - 1, N>(m, w, x, n, out);
   }
-  for (; o < o1; ++o) {
-    y[o] = static_cast<float>(dot_lanes_q<L>(w + o * in_dim, x, n));
+  tile<L, M, N>(w, x, n, out);
+}
+
+/// tile<L, m, n> for runtime m <= M and n <= N weight rows.
+template <typename L, int M, int N>
+inline void tile_any(int m, int nn, const typename L::Elem* const* w,
+                     const double* const* x, std::size_t n,
+                     const TileOut& out) {
+  if constexpr (N > 1) {
+    if (nn < N) return tile_any<L, M, N - 1>(m, nn, w, x, n, out);
+  }
+  tile_rows<L, M, N>(m, w, x, n, out);
+}
+
+/// Activation bytes a pass over the weights keeps hot: rows are taken in
+/// chunks of about this size (in whole tiles) so they stay in L1 while the
+/// weight rows stream past.
+constexpr std::int64_t kRowChunkBytes = 24 * 1024;
+
+/// project_block over one load trait. A single activation row runs 1 x 4
+/// tiles straight down the weight rows. Otherwise, per chunk of activation
+/// rows, weight-row pairs go outermost — each pair is widened from memory
+/// once per chunk — and the chunk's rows pass under it in 3 x 2 tiles.
+template <typename L>
+void project_block_t(const WeightView& w, const double* xd,
+                     const ProjectOut& out, std::int64_t r0, std::int64_t r1,
+                     std::int64_t o0, std::int64_t o1) {
+  using Elem = typename L::Elem;
+  const auto* base = static_cast<const Elem*>(w.data);
+  const float* scales = w.dtype == DType::kI8 ? w.scales : nullptr;
+  const std::int64_t cols = w.cols;
+  const auto n = static_cast<std::size_t>(cols);
+  const auto at = [&](std::int64_t r, std::int64_t o) {
+    return TileOut{out.y + r * out.row_stride + o * out.out_stride,
+                   out.row_stride, out.out_stride,
+                   scales != nullptr ? scales + o : nullptr};
+  };
+  // Pointers to weight rows o..o+N-1, repeating the last of the nn real
+  // ones (the tile reads only the first nn).
+  const auto rows_from = [&](std::int64_t o, int nn, const Elem** ws,
+                             int count) {
+    for (int j = 0; j < count; ++j) {
+      ws[j] = base + (o + std::min(j, nn - 1)) * cols;
+    }
+  };
+
+  if (r1 - r0 == 1) {
+    const double* xs[1] = {xd};
+    const Elem* ws[kRowTileOut];
+    std::int64_t o = o0;
+    for (; o + kRowTileOut <= o1; o += kRowTileOut) {
+      rows_from(o, kRowTileOut, ws, kRowTileOut);
+      tile<L, 1, kRowTileOut>(ws, xs, n, at(r0, o));
+    }
+    if (o < o1) {
+      const int nn = static_cast<int>(o1 - o);
+      rows_from(o, nn, ws, kRowTileOut);
+      tile_any<L, 1, kRowTileOut>(1, nn, ws, xs, n, at(r0, o));
+    }
+    return;
+  }
+
+  const std::int64_t tile_bytes =
+      kTileRows * std::max<std::int64_t>(cols, 1) *
+      static_cast<std::int64_t>(sizeof(double));
+  const std::int64_t chunk =
+      kTileRows * std::max<std::int64_t>(1, kRowChunkBytes / tile_bytes);
+  for (std::int64_t c0 = r0; c0 < r1; c0 += chunk) {
+    const std::int64_t c1 = std::min(c0 + chunk, r1);
+    for (std::int64_t o = o0; o < o1; o += kTileOut) {
+      const int nn = static_cast<int>(std::min<std::int64_t>(kTileOut, o1 - o));
+      const Elem* ws[kTileOut];
+      rows_from(o, nn, ws, kTileOut);
+      for (std::int64_t r = c0; r < c1; r += kTileRows) {
+        const int mm =
+            static_cast<int>(std::min<std::int64_t>(kTileRows, c1 - r));
+        const double* xs[kTileRows];
+        for (int i = 0; i < kTileRows; ++i) {
+          xs[i] = xd + (r - r0 + std::min(i, mm - 1)) * cols;
+        }
+        tile_any<L, kTileRows, kTileOut>(mm, nn, ws, xs, n, at(r, o));
+      }
+    }
   }
 }
 
 }  // namespace
 
 double dot(const float* a, const float* b, std::size_t n) {
-  return dot_lanes(a, b, n);
+  return dot_lanes<VLoadF32>(a, b, n);
 }
 
-double sum_squares(const float* a, std::size_t n) { return dot_lanes(a, a, n); }
+double sum_squares(const float* a, std::size_t n) {
+  return dot_lanes<VLoadF32>(a, a, n);
+}
 
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
   const __m256 va = _mm256_set1_ps(alpha);
@@ -329,18 +391,6 @@ void matmul_rows(const float* a, const float* b, float* c, std::int64_t i0,
   }
 }
 
-void matmul_nt_rows(const float* a, const float* b, float* c, std::int64_t i0,
-                    std::int64_t i1, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(
-          dot_lanes(a_row, b + j * k, static_cast<std::size_t>(k)));
-    }
-  }
-}
-
 void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n, std::int64_t j0,
                     std::int64_t j1) {
@@ -362,84 +412,36 @@ void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-void matvec_rows(const float* w, const float* x, float* y, std::int64_t o0,
-                 std::int64_t o1, std::int64_t in_dim) {
-  const auto n = static_cast<std::size_t>(in_dim);
-  std::int64_t o = o0;
-  for (; o + 4 <= o1; o += 4) {
-    const float* base = w + o * in_dim;
-    dot4_lanes(base, base + in_dim, base + 2 * in_dim, base + 3 * in_dim, x,
-               y + o, n);
-  }
-  for (; o < o1; ++o) {
-    y[o] = static_cast<float>(dot_lanes(w + o * in_dim, x, n));
-  }
-}
-
 double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n) {
-  return dot_lanes_q<VLoadBF16>(a, b, n);
+  return dot_lanes<VLoadBF16>(a, b, n);
 }
 
 double dot_i8(const std::int8_t* q, const float* x, std::size_t n) {
-  return dot_lanes_q<VLoadI8>(q, x, n);
+  return dot_lanes<VLoadI8>(q, x, n);
 }
 
-void matvec_bf16_rows(const std::uint16_t* w, const float* x, float* y,
-                      std::int64_t o0, std::int64_t o1, std::int64_t in_dim) {
-  matvec_rows_q<VLoadBF16>(w, x, y, o0, o1, in_dim);
-}
-
-void matvec_i8_rows(const std::int8_t* w, const float* scales, const float* x,
-                    float* y, std::int64_t o0, std::int64_t o1,
-                    std::int64_t in_dim) {
-  const auto n = static_cast<std::size_t>(in_dim);
-  std::int64_t o = o0;
-  for (; o + 4 <= o1; o += 4) {
-    const std::int8_t* base = w + o * in_dim;
-    double d[4];
-    dot4_lanes_q<VLoadI8>(base, base + in_dim, base + 2 * in_dim,
-                          base + 3 * in_dim, x, d, n);
-    for (std::size_t r = 0; r < 4; ++r) {
-      const std::int64_t row = o + static_cast<std::int64_t>(r);
-      y[row] = static_cast<float>(static_cast<double>(scales[row]) * d[r]);
-    }
-  }
-  for (; o < o1; ++o) {
-    y[o] = static_cast<float>(static_cast<double>(scales[o]) *
-                              dot_lanes_q<VLoadI8>(w + o * in_dim, x, n));
-  }
-}
-
-void matmul_nt_bf16_rows(const std::uint16_t* a, const float* b, float* c,
-                         std::int64_t i0, std::int64_t i1, std::int64_t k,
-                         std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::uint16_t* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(dot_lanes_q<VLoadBF16>(
-          a_row, b + j * k, static_cast<std::size_t>(k)));
-    }
-  }
-}
-
-void matmul_nt_i8_rows(const std::int8_t* a, const float* a_scales,
-                       const float* b, float* c, std::int64_t i0,
-                       std::int64_t i1, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::int8_t* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(
-          static_cast<double>(a_scales[i]) *
-          dot_lanes_q<VLoadI8>(a_row, b + j * k, static_cast<std::size_t>(k)));
-    }
+void project_block(const WeightView& w, const double* xd,
+                   const ProjectOut& out, std::int64_t r0, std::int64_t r1,
+                   std::int64_t o0, std::int64_t o1) {
+  switch (w.dtype) {
+    case DType::kF32:
+      return project_block_t<VLoadF32>(w, xd, out, r0, r1, o0, o1);
+    case DType::kBF16:
+      return project_block_t<VLoadBF16>(w, xd, out, r0, r1, o0, o1);
+    case DType::kI8:
+      return project_block_t<VLoadI8>(w, xd, out, r0, r1, o0, o1);
+    case DType::kF16:
+#if defined(CHIPALIGN_HAVE_F16C)
+      return project_block_t<VLoadF16>(w, xd, out, r0, r1, o0, o1);
+#else
+      break;  // the dispatcher routes f16 to the generic backend
+#endif
   }
 }
 
 #if defined(CHIPALIGN_HAVE_F16C)
 double dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
-  return dot_lanes_q<VLoadF16>(a, b, n);
+  return dot_lanes<VLoadF16>(a, b, n);
 }
 
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
@@ -452,23 +454,6 @@ void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
   for (; i < n; ++i) y[i] += alpha * f16_bits_to_f32(x[i]);
 }
 
-void matvec_f16_rows(const std::uint16_t* w, const float* x, float* y,
-                     std::int64_t o0, std::int64_t o1, std::int64_t in_dim) {
-  matvec_rows_q<VLoadF16>(w, x, y, o0, o1, in_dim);
-}
-
-void matmul_nt_f16_rows(const std::uint16_t* a, const float* b, float* c,
-                        std::int64_t i0, std::int64_t i1, std::int64_t k,
-                        std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::uint16_t* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(dot_lanes_q<VLoadF16>(
-          a_row, b + j * k, static_cast<std::size_t>(k)));
-    }
-  }
-}
 #endif  // CHIPALIGN_HAVE_F16C
 
 }  // namespace chipalign::kernels::avx2

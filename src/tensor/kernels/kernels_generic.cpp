@@ -18,6 +18,9 @@ namespace {
 // Type-generic element loaders: one reduction body serves every storage
 // dtype. Each load is an *exact* conversion to fp32, so the shared loop
 // reproduces the contract reduction bit-for-bit regardless of dtype.
+struct LoadF32 {
+  float operator()(float v) const { return v; }
+};
 struct LoadF16 {
   float operator()(std::uint16_t v) const { return f16_bits_to_f32(v); }
 };
@@ -28,9 +31,10 @@ struct LoadI8 {
   float operator()(std::int8_t v) const { return static_cast<float>(v); }
 };
 
-/// Contract-shaped dot with a dequantizing load on the `a` stream.
-template <typename T, typename Load>
-double dot_q(const T* a, const float* b, std::size_t n, Load load) {
+/// Contract-shaped dot with a dequantizing load on the `a` stream; `b` is
+/// fp32 or its exact fp64 widening (the same products either way).
+template <typename T, typename B, typename Load>
+double dot_q(const T* a, const B* b, std::size_t n, Load load) {
   double lanes[kLanes] = {0};
   const std::size_t n8 = n & ~(kLanes - 1);
   for (std::size_t i = 0; i < n8; i += kLanes) {
@@ -46,34 +50,33 @@ double dot_q(const T* a, const float* b, std::size_t n, Load load) {
   return combine_lanes(lanes);
 }
 
+/// project_block over one storage type: each output is one dot_q of a
+/// weight row against a widened activation row.
+template <typename T, typename Load>
+void project_block_t(const WeightView& w, const double* xd,
+                     const ProjectOut& out, std::int64_t r0, std::int64_t r1,
+                     std::int64_t o0, std::int64_t o1, Load load) {
+  const auto* base = static_cast<const T*>(w.data);
+  const float* scales = w.dtype == DType::kI8 ? w.scales : nullptr;
+  const auto n = static_cast<std::size_t>(w.cols);
+  for (std::int64_t o = o0; o < o1; ++o) {
+    for (std::int64_t r = r0; r < r1; ++r) {
+      const double d =
+          dot_q(base + o * w.cols, xd + (r - r0) * w.cols, n, load);
+      out.y[r * out.row_stride + o * out.out_stride] =
+          project_output(d, scales, o);
+    }
+  }
+}
+
 }  // namespace
 
 double dot(const float* a, const float* b, std::size_t n) {
-  double lanes[kLanes] = {0};
-  const std::size_t n8 = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < n8; i += kLanes) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      lanes[l] += static_cast<double>(a[i + l]) * static_cast<double>(b[i + l]);
-    }
-  }
-  for (std::size_t i = n8; i < n; ++i) {
-    lanes[i - n8] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return combine_lanes(lanes);
+  return dot_q(a, b, n, LoadF32{});
 }
 
 double sum_squares(const float* a, std::size_t n) {
-  double lanes[kLanes] = {0};
-  const std::size_t n8 = n & ~(kLanes - 1);
-  for (std::size_t i = 0; i < n8; i += kLanes) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      lanes[l] += static_cast<double>(a[i + l]) * static_cast<double>(a[i + l]);
-    }
-  }
-  for (std::size_t i = n8; i < n; ++i) {
-    lanes[i - n8] += static_cast<double>(a[i]) * static_cast<double>(a[i]);
-  }
-  return combine_lanes(lanes);
+  return dot_q(a, a, n, LoadF32{});
 }
 
 void axpy(float alpha, const float* x, float* y, std::size_t n) {
@@ -105,18 +108,6 @@ void matmul_rows(const float* a, const float* b, float* c, std::int64_t i0,
   }
 }
 
-void matmul_nt_rows(const float* a, const float* b, float* c, std::int64_t i0,
-                    std::int64_t i1, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const float* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(
-          dot(a_row, b + j * k, static_cast<std::size_t>(k)));
-    }
-  }
-}
-
 void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n, std::int64_t j0,
                     std::int64_t j1) {
@@ -131,11 +122,21 @@ void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-void matvec_rows(const float* w, const float* x, float* y, std::int64_t o0,
-                 std::int64_t o1, std::int64_t in_dim) {
-  for (std::int64_t o = o0; o < o1; ++o) {
-    y[o] = static_cast<float>(
-        dot(w + o * in_dim, x, static_cast<std::size_t>(in_dim)));
+void project_block(const WeightView& w, const double* xd,
+                   const ProjectOut& out, std::int64_t r0, std::int64_t r1,
+                   std::int64_t o0, std::int64_t o1) {
+  switch (w.dtype) {
+    case DType::kF32:
+      return project_block_t<float>(w, xd, out, r0, r1, o0, o1, LoadF32{});
+    case DType::kF16:
+      return project_block_t<std::uint16_t>(w, xd, out, r0, r1, o0, o1,
+                                            LoadF16{});
+    case DType::kBF16:
+      return project_block_t<std::uint16_t>(w, xd, out, r0, r1, o0, o1,
+                                            LoadBF16{});
+    case DType::kI8:
+      return project_block_t<std::int8_t>(w, xd, out, r0, r1, o0, o1,
+                                          LoadI8{});
   }
 }
 
@@ -153,72 +154,6 @@ double dot_i8(const std::int8_t* q, const float* x, std::size_t n) {
 
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * f16_bits_to_f32(x[i]);
-}
-
-void matvec_f16_rows(const std::uint16_t* w, const float* x, float* y,
-                     std::int64_t o0, std::int64_t o1, std::int64_t in_dim) {
-  for (std::int64_t o = o0; o < o1; ++o) {
-    y[o] = static_cast<float>(dot_q(
-        w + o * in_dim, x, static_cast<std::size_t>(in_dim), LoadF16{}));
-  }
-}
-
-void matvec_bf16_rows(const std::uint16_t* w, const float* x, float* y,
-                      std::int64_t o0, std::int64_t o1, std::int64_t in_dim) {
-  for (std::int64_t o = o0; o < o1; ++o) {
-    y[o] = static_cast<float>(dot_q(
-        w + o * in_dim, x, static_cast<std::size_t>(in_dim), LoadBF16{}));
-  }
-}
-
-void matvec_i8_rows(const std::int8_t* w, const float* scales, const float* x,
-                    float* y, std::int64_t o0, std::int64_t o1,
-                    std::int64_t in_dim) {
-  for (std::int64_t o = o0; o < o1; ++o) {
-    y[o] = static_cast<float>(
-        static_cast<double>(scales[o]) *
-        dot_q(w + o * in_dim, x, static_cast<std::size_t>(in_dim), LoadI8{}));
-  }
-}
-
-void matmul_nt_f16_rows(const std::uint16_t* a, const float* b, float* c,
-                        std::int64_t i0, std::int64_t i1, std::int64_t k,
-                        std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::uint16_t* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(
-          dot_q(a_row, b + j * k, static_cast<std::size_t>(k), LoadF16{}));
-    }
-  }
-}
-
-void matmul_nt_bf16_rows(const std::uint16_t* a, const float* b, float* c,
-                         std::int64_t i0, std::int64_t i1, std::int64_t k,
-                         std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::uint16_t* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(
-          dot_q(a_row, b + j * k, static_cast<std::size_t>(k), LoadBF16{}));
-    }
-  }
-}
-
-void matmul_nt_i8_rows(const std::int8_t* a, const float* a_scales,
-                       const float* b, float* c, std::int64_t i0,
-                       std::int64_t i1, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const std::int8_t* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(
-          static_cast<double>(a_scales[i]) *
-          dot_q(a_row, b + j * k, static_cast<std::size_t>(k), LoadI8{}));
-    }
-  }
 }
 
 }  // namespace chipalign::kernels::generic

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "tensor/half.hpp"
 #include "tensor/kernels/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -205,7 +206,7 @@ TEST_F(KernelBackends, MatmulTnAccumMatchesRefBitwise) {
 
 // A shape large enough to trigger the thread-pool fan-out must yield the
 // same bits as the (serial) reference — thread-count invariance of the
-// fixed block geometry. 256x256x256 = 16.7M MACs > the 4.2M threshold.
+// fixed block geometry. 256x256x256 = 16.7M MACs > the 2.1M threshold.
 TEST_F(KernelBackends, ParallelMatmulIsBitIdenticalToSerialRef) {
   Rng rng(110);
   const std::int64_t d = 256;
@@ -225,8 +226,14 @@ TEST_F(KernelBackends, ParallelMatmulIsBitIdenticalToSerialRef) {
   EXPECT_TRUE(bitwise_equal(got_tn, expected_tn));
 }
 
-// Matvec shapes: out dims around the 4-row AVX2 blocking (1..5) and the
-// 64-row parallel block boundary, in dims with odd lane tails.
+kernels::WeightView f32_weights(const std::vector<float>& w, std::int64_t rows,
+                                std::int64_t cols) {
+  return {DType::kF32, w.data(), nullptr, rows, cols};
+}
+
+// project() at one row is the matvec: out dims around the one-row AVX2
+// tile of 4 weight rows (1..5) and the 64-row parallel block boundary, in
+// dims with odd lane tails.
 TEST_F(KernelBackends, MatvecMatchesRefBitwise) {
   Rng rng(112);
   struct Shape {
@@ -242,17 +249,17 @@ TEST_F(KernelBackends, MatvecMatchesRefBitwise) {
     kernels::ref::matvec(w.data(), x.data(), expected.data(), s.out, s.in);
     for_each_backend([&](const char* backend) {
       std::vector<float> got(static_cast<std::size_t>(s.out));
-      kernels::matvec(w.data(), x.data(), got.data(), s.out, s.in);
+      kernels::project(f32_weights(w, s.out, s.in), x.data(), got.data(), 1);
       EXPECT_TRUE(bitwise_equal(got, expected))
           << s.out << "x" << s.in << " backend=" << backend;
     });
   }
 }
 
-// parallel_matvec must produce ref's bits at every thread count: each
-// output row is one contract-reduced dot, written by exactly one task, so
-// the row partitioning cannot show up in the result. 2048x1024 = 2.1M MACs
-// clears the parallelization threshold.
+// A one-row project() fanned over a pool must produce ref's bits at every
+// thread count: each output is one contract-reduced dot, written by exactly
+// one task, so the block partitioning cannot show up in the result.
+// 2048x1024 = 2.1M MACs reaches the parallelization threshold.
 TEST_F(KernelBackends, ParallelMatvecIsThreadCountInvariant) {
   Rng rng(113);
   const std::int64_t out_dim = 2048;
@@ -265,12 +272,185 @@ TEST_F(KernelBackends, ParallelMatvecIsThreadCountInvariant) {
     for (const std::size_t threads : {1U, 2U, 8U}) {
       ThreadPool pool(threads);
       std::vector<float> got(static_cast<std::size_t>(out_dim));
-      kernels::parallel_matvec(w.data(), x.data(), got.data(), out_dim,
-                               in_dim, &pool);
+      kernels::project(f32_weights(w, out_dim, in_dim), x.data(), got.data(),
+                       1, &pool);
       EXPECT_TRUE(bitwise_equal(got, expected))
           << "threads=" << threads << " backend=" << backend;
     }
   });
+}
+
+/// One weight matrix stored in every dtype project() reads, plus the
+/// kernels::ref row that defines each dtype's output.
+struct StoredWeights {
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+  std::vector<float> f32;
+  std::vector<std::uint16_t> f16;
+  std::vector<std::uint16_t> bf16;
+  std::vector<std::int8_t> i8;
+  std::vector<float> scales;
+
+  StoredWeights(std::int64_t r, std::int64_t c, Rng& rng) : rows(r), cols(c) {
+    f32 = random_vec(static_cast<std::size_t>(r * c), rng);
+    for (const float v : f32) {
+      f16.push_back(f32_to_f16_bits(v));
+      bf16.push_back(f32_to_bf16_bits(v));
+      i8.push_back(static_cast<std::int8_t>(std::lround(v * 63.0F)));
+    }
+    scales = random_vec(static_cast<std::size_t>(r), rng);
+  }
+
+  kernels::WeightView view(DType dtype) const {
+    switch (dtype) {
+      case DType::kF16:
+        return {dtype, f16.data(), nullptr, rows, cols};
+      case DType::kBF16:
+        return {dtype, bf16.data(), nullptr, rows, cols};
+      case DType::kI8:
+        return {dtype, i8.data(), scales.data(), rows, cols};
+      default:
+        return {dtype, f32.data(), nullptr, rows, cols};
+    }
+  }
+
+  /// ref::matvec* applied to each of the n_rows activation rows.
+  std::vector<float> expected(DType dtype, const std::vector<float>& x,
+                              std::int64_t n_rows) const {
+    std::vector<float> y(static_cast<std::size_t>(n_rows * rows));
+    for (std::int64_t r = 0; r < n_rows; ++r) {
+      const float* xr = x.data() + r * cols;
+      float* yr = y.data() + r * rows;
+      switch (dtype) {
+        case DType::kF16:
+          kernels::ref::matvec_f16(f16.data(), xr, yr, rows, cols);
+          break;
+        case DType::kBF16:
+          kernels::ref::matvec_bf16(bf16.data(), xr, yr, rows, cols);
+          break;
+        case DType::kI8:
+          kernels::ref::matvec_i8(i8.data(), scales.data(), xr, yr, rows,
+                                  cols);
+          break;
+        default:
+          kernels::ref::matvec(f32.data(), xr, yr, rows, cols);
+      }
+    }
+    return y;
+  }
+};
+
+const DType kWeightDtypes[] = {DType::kF32, DType::kF16, DType::kBF16,
+                               DType::kI8};
+
+// The one projection entry against kernels::ref in every weight dtype, on
+// shapes that leave every remainder of the AVX2 register tiles (3
+// activation rows x 2 weight rows; 1 x 4 for one row) and of the 8-lane
+// blocking: row counts 1..6 and 25, weight-row counts 1..5 and 65,
+// k = 1, 8, 13 and 67.
+TEST_F(KernelBackends, ProjectMatchesRefBitwiseAllDtypes) {
+  Rng rng(114);
+  for (const std::int64_t cols : {1, 8, 13, 67}) {
+    for (const std::int64_t out : {1, 2, 3, 4, 5, 65}) {
+      const StoredWeights w(out, cols, rng);
+      for (const std::int64_t n_rows : {1, 2, 3, 4, 5, 6, 25}) {
+        const auto x =
+            random_vec(static_cast<std::size_t>(n_rows * cols), rng);
+        for (const DType dtype : kWeightDtypes) {
+          const auto expected = w.expected(dtype, x, n_rows);
+          for_each_backend([&](const char* backend) {
+            std::vector<float> got(expected.size());
+            kernels::project(w.view(dtype), x.data(), got.data(), n_rows);
+            EXPECT_TRUE(bitwise_equal(got, expected))
+                << dtype_name(dtype) << " rows=" << n_rows << " out=" << out
+                << " k=" << cols << " backend=" << backend;
+          });
+        }
+      }
+    }
+  }
+}
+
+// Above the fan-out threshold (26 x 130 x 620 = 2.1M MACs: two row blocks
+// and three weight-row blocks, each with a remainder) every dtype gives
+// ref's bits on pools of 1 and 4 workers, and matmul_nt / matmul_nt_i8 —
+// the [m, n]-layout wrappers — match their references too.
+TEST_F(KernelBackends, ProjectFanOutIsPoolSizeInvariantAllDtypes) {
+  Rng rng(115);
+  const std::int64_t n_rows = 26;
+  const StoredWeights w(130, 620, rng);
+  const auto x = random_vec(static_cast<std::size_t>(n_rows * w.cols), rng);
+  for (const DType dtype : kWeightDtypes) {
+    const auto expected = w.expected(dtype, x, n_rows);
+    for_each_backend([&](const char* backend) {
+      for (const std::size_t threads : {1U, 4U}) {
+        ThreadPool pool(threads);
+        std::vector<float> got(expected.size());
+        kernels::project(w.view(dtype), x.data(), got.data(), n_rows, &pool);
+        EXPECT_TRUE(bitwise_equal(got, expected))
+            << dtype_name(dtype) << " threads=" << threads
+            << " backend=" << backend;
+      }
+    });
+  }
+  std::vector<float> nt_expected(static_cast<std::size_t>(n_rows * w.rows));
+  kernels::ref::matmul_nt(x.data(), w.f32.data(), nt_expected.data(), n_rows,
+                          w.cols, w.rows);
+  std::vector<float> i8_expected(nt_expected.size());
+  kernels::ref::matmul_nt_i8(w.i8.data(), w.scales.data(), x.data(),
+                             i8_expected.data(), w.rows, w.cols, n_rows);
+  for_each_backend([&](const char* backend) {
+    std::vector<float> got(nt_expected.size());
+    kernels::matmul_nt(x.data(), w.f32.data(), got.data(), n_rows, w.cols,
+                       w.rows);
+    EXPECT_TRUE(bitwise_equal(got, nt_expected)) << "backend=" << backend;
+    kernels::matmul_nt_i8(w.i8.data(), w.scales.data(), x.data(), got.data(),
+                          w.rows, w.cols, n_rows);
+    EXPECT_TRUE(bitwise_equal(got, i8_expected)) << "backend=" << backend;
+  });
+}
+
+// The lane contract through project(): lanes 0 and 4 cancel, and 2^-60 in
+// lane 6 (a main-loop element at k = 8, a tail element at k = 15) is lost
+// to ((l4+l5)+(l6+l7)) rounding to -1, so every output must be exactly 0.
+// A serial sum, or any other combine tree, gives 2^-60.
+TEST_F(KernelBackends, ProjectFollowsLaneContractNotSerialSum) {
+  const float tiny = std::ldexp(1.0F, -60);
+  for (const std::int64_t cols : {8, 15}) {
+    const std::int64_t out = 5;
+    const std::int64_t n_rows = 4;
+    std::vector<float> ones(static_cast<std::size_t>(out * cols), 1.0F);
+    std::vector<std::uint16_t> f16_ones(ones.size(), f32_to_f16_bits(1.0F));
+    std::vector<std::uint16_t> bf16_ones(ones.size(), f32_to_bf16_bits(1.0F));
+    std::vector<std::int8_t> i8_ones(ones.size(), 1);
+    std::vector<float> unit_scales(static_cast<std::size_t>(out), 1.0F);
+    std::vector<float> x(static_cast<std::size_t>(n_rows * cols), 0.0F);
+    for (std::int64_t r = 0; r < n_rows; ++r) {
+      x[static_cast<std::size_t>(r * cols)] = 1.0F;
+      x[static_cast<std::size_t>(r * cols + 4)] = -1.0F;
+      x[static_cast<std::size_t>(r * cols + cols - 2)] = tiny;
+    }
+    const kernels::WeightView views[] = {
+        {DType::kF32, ones.data(), nullptr, out, cols},
+        {DType::kF16, f16_ones.data(), nullptr, out, cols},
+        {DType::kBF16, bf16_ones.data(), nullptr, out, cols},
+        {DType::kI8, i8_ones.data(), unit_scales.data(), out, cols}};
+    const std::vector<float> zeros(static_cast<std::size_t>(n_rows * out),
+                                   0.0F);
+    for (const kernels::WeightView& view : views) {
+      for_each_backend([&](const char* backend) {
+        for (const std::int64_t rows : {std::int64_t{1}, n_rows}) {
+          std::vector<float> got(static_cast<std::size_t>(rows * out), 1.0F);
+          kernels::project(view, x.data(), got.data(), rows);
+          EXPECT_TRUE(bitwise_equal(
+              got, std::vector<float>(zeros.begin(),
+                                      zeros.begin() + rows * out)))
+              << dtype_name(view.dtype) << " k=" << cols << " rows=" << rows
+              << " backend=" << backend;
+        }
+      });
+    }
+  }
 }
 
 // The reduction contract in one picture: dot must equal the 8-lane pairwise

@@ -233,11 +233,12 @@ TEST_F(QuantKernels, MatvecI8MatchesRefAndThreadCount) {
   std::vector<float> expected(static_cast<std::size_t>(out_dim));
   kernels::ref::matvec_i8(w.data(), scales.data(), x.data(), expected.data(),
                           out_dim, in_dim);
+  const kernels::WeightView weights{DType::kI8, w.data(), scales.data(),
+                                    out_dim, in_dim};
   std::vector<float> got(static_cast<std::size_t>(out_dim));
   for_each_backend([&](const char* backend) {
     std::fill(got.begin(), got.end(), 0.0F);
-    kernels::matvec_i8(w.data(), scales.data(), x.data(), got.data(),
-                       out_dim, in_dim);
+    kernels::project(weights, x.data(), got.data(), 1);
     EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
                              got.size() * sizeof(float)))
         << "backend=" << backend;
@@ -245,10 +246,8 @@ TEST_F(QuantKernels, MatvecI8MatchesRefAndThreadCount) {
     ThreadPool pool4(4);
     std::vector<float> y1(got.size());
     std::vector<float> y4(got.size());
-    kernels::parallel_matvec_i8(w.data(), scales.data(), x.data(), y1.data(),
-                                out_dim, in_dim, &pool1);
-    kernels::parallel_matvec_i8(w.data(), scales.data(), x.data(), y4.data(),
-                                out_dim, in_dim, &pool4);
+    kernels::project(weights, x.data(), y1.data(), 1, &pool1);
+    kernels::project(weights, x.data(), y4.data(), 1, &pool4);
     EXPECT_EQ(0, std::memcmp(y1.data(), expected.data(),
                              y1.size() * sizeof(float)))
         << "backend=" << backend;
@@ -269,11 +268,21 @@ TEST_F(QuantKernels, MatmulNtF16MatchesRefBitwise) {
   for (auto& v : b) v = static_cast<float>(rng.gaussian());
   std::vector<float> expected(static_cast<std::size_t>(m * n));
   kernels::ref::matmul_nt_f16(a.data(), b.data(), expected.data(), m, k, n);
+  // project() over the f16 weights `a` and the n activation rows of `b`
+  // writes [n, m]: ref's [m, n] transposed.
+  std::vector<float> expected_t(expected.size());
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      expected_t[static_cast<std::size_t>(j * m + i)] =
+          expected[static_cast<std::size_t>(i * n + j)];
+    }
+  }
   std::vector<float> got(expected.size());
   for_each_backend([&](const char* backend) {
     std::fill(got.begin(), got.end(), 0.0F);
-    kernels::matmul_nt_f16(a.data(), b.data(), got.data(), m, k, n);
-    EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+    kernels::project({DType::kF16, a.data(), nullptr, m, k}, b.data(),
+                     got.data(), n);
+    EXPECT_EQ(0, std::memcmp(got.data(), expected_t.data(),
                              got.size() * sizeof(float)))
         << "backend=" << backend;
   });

@@ -232,10 +232,15 @@ TEST_F(StreamTest, VerifyDetectsCorruptedShard) {
 // Streaming merge engine
 // ---------------------------------------------------------------------------
 
+// gtest names each value-parameterized test after a byte dump of its
+// parameter, so the parameter holds no pointers: a std::string member would
+// put a heap address into the test names and change them on every run.
 struct StreamingMergeCase {
-  std::string method;
+  char method[39];
   bool needs_base;
 };
+static_assert(sizeof(StreamingMergeCase) == 40,
+              "size is part of the printed test names");
 
 class StreamingMergeTest
     : public StreamTest,
@@ -818,7 +823,7 @@ INSTANTIATE_TEST_SUITE_P(
     Methods, StreamingMergeTest,
     ::testing::Values(StreamingMergeCase{"chipalign", false},
                       StreamingMergeCase{"ties", true}),
-    [](const auto& info) { return info.param.method; });
+    [](const auto& info) { return std::string(info.param.method); });
 
 // mark_written feeds finish()'s completeness check, so a double mark or an
 // off-plan name would let a merge "finish" with a tensor never written.
