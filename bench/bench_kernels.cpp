@@ -14,8 +14,10 @@
 //                           paths cheaply (CI smoke / sanitizer builds)
 //
 // A project_probe line per (weight dtype, served shape, row count) reports
-// microseconds per activation row and GFLOP/s of kernels::project; it is
-// not gated.
+// microseconds per activation row and GFLOP/s of kernels::project, and a
+// dispatch_probe line the p50 / p90 microseconds of an empty
+// ThreadPool::parallel_for over 4 indices on the global pool; neither is
+// gated.
 //
 // Gate floors: dot, matmul_nt and the fused scaled_sum (vs the seed's
 // scale+scale+add composition) must be >= 3x; axpy must be >= 1.15x. axpy
@@ -28,11 +30,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "tensor/kernels/kernels.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 using namespace chipalign;
@@ -310,6 +314,26 @@ int main(int argc, char** argv) {
             2.0 * static_cast<double>(macs) * 1e-3 / call_us);
       }
     }
+  }
+
+  // parallel_for dispatch probe (ungated) -----------------------------------
+  // What one fan-out costs beyond its work: an empty parallel_for over 4
+  // indices on the global pool, back to back, so helpers stay in their spin
+  // window as they do between a decode step's projections.
+  {
+    ThreadPool& pool = global_thread_pool();
+    const std::function<void(std::size_t)> nop = [](std::size_t) {};
+    std::vector<double> us(quick ? 2000 : 20000);
+    for (double& sample : us) {
+      const Timer timer;
+      pool.parallel_for(4, nop);
+      sample = timer.seconds() * 1e6;
+    }
+    std::sort(us.begin(), us.end());
+    std::printf(
+        "{\"bench\":\"dispatch_probe\",\"indices\":4,\"helpers\":%zu,"
+        "\"p50_us\":%.3f,\"p90_us\":%.3f}\n",
+        pool.helpers(), us[us.size() / 2], us[us.size() * 9 / 10]);
   }
 
   if (!g_all_exact) {

@@ -57,13 +57,14 @@ constexpr std::int64_t kRowBlock = 16;
 /// Output columns per parallel task (matmul_tn_accum).
 constexpr std::int64_t kColBlock = 1024;
 /// Activation rows and weight rows per parallel task (project). 24 rows is
-/// a whole number of AVX2 register tiles.
+/// a whole number of AVX2 register tiles; 32 weight rows give a 128-row
+/// projection four tasks and a 512-row one sixteen. kParallelMacs
+/// (kernels.hpp) is where a spin-dispatched fan-out, about a microsecond,
+/// starts to win; see the measured table in DESIGN.md §4d.
 constexpr std::int64_t kProjectRowBlock = 24;
-constexpr std::int64_t kProjectOutBlock = 64;
-/// Fan out across the pool only when the multiply does at least this many
-/// scalar MACs (~2M, a few hundred microseconds of serial work); below it,
-/// waking workers costs more than the split recovers.
-constexpr std::int64_t kParallelMacs = std::int64_t{1} << 21;
+constexpr std::int64_t kProjectOutBlock = 32;
+/// Widened-activation doubles a thread keeps between project() calls.
+constexpr std::size_t kKeepWidened = std::size_t{1} << 15;
 
 /// Splits [0, extent) into fixed `block`-sized chunks and runs body(lo, hi)
 /// for each, across the pool when the work is large enough. parallel_for
@@ -164,30 +165,24 @@ void matmul_tn_accum(const float* a, const float* b, float* c, std::int64_t m,
 
 namespace {
 
-/// Rows [r0, r1) x weight rows [o0, o1): widens those activation rows to
-/// fp64 — once per panel, so no tile converts an activation again — then
-/// runs the backend. The buffer is the running thread's own and holds at
-/// most kProjectRowBlock rows; weights are never widened in memory.
-void project_panel(const WeightView& w, const float* x, const ProjectOut& out,
-                   std::int64_t r0, std::int64_t r1, std::int64_t o0,
-                   std::int64_t o1) {
-  thread_local std::vector<double> xd;
-  const auto count = static_cast<std::size_t>((r1 - r0) * w.cols);
-  if (xd.size() < count) xd.resize(count);
-  const float* src = x + r0 * w.cols;
-  for (std::size_t i = 0; i < count; ++i) {
-    xd[i] = static_cast<double>(src[i]);
-  }
+/// Activation rows [r0, r1) x weight rows [o0, o1) on the backend. `xd`
+/// holds every activation row of the call widened to fp64.
+void project_panel(const WeightView& w, const double* xd,
+                   const ProjectOut& out, std::int64_t r0, std::int64_t r1,
+                   std::int64_t o0, std::int64_t o1) {
+  const double* panel = xd + r0 * w.cols;
 #if defined(CHIPALIGN_HAVE_AVX2)
   if (w.dtype == DType::kF16 ? use_avx2_f16() : use_avx2()) {
-    return avx2::project_block(w, xd.data(), out, r0, r1, o0, o1);
+    return avx2::project_block(w, panel, out, r0, r1, o0, o1);
   }
 #endif
-  generic::project_block(w, xd.data(), out, r0, r1, o0, o1);
+  generic::project_block(w, panel, out, r0, r1, o0, o1);
 }
 
 /// project() with an explicit output placement (matmul_nt_i8 writes the
-/// transpose). Blocks of kProjectRowBlock rows x kProjectOutBlock weight
+/// transpose). The calling thread widens the activations to fp64 once,
+/// into its own buffer that every panel reads; weights are never widened
+/// in memory. Blocks of kProjectRowBlock rows x kProjectOutBlock weight
 /// rows fan out above kParallelMacs; geometry depends only on the shape.
 void project_into(const WeightView& w, const float* x, const ProjectOut& out,
                   std::int64_t n_rows, ThreadPool* pool) {
@@ -196,6 +191,11 @@ void project_into(const WeightView& w, const float* x, const ProjectOut& out,
   CA_CHECK(w.dtype != DType::kI8 || w.scales != nullptr,
            "project: int8 weights need per-row scales");
   if (n_rows <= 0 || w.rows <= 0) return;
+  thread_local std::vector<double> xd;
+  xd.assign(x, x + n_rows * w.cols);
+  // Named pointer, not `xd`: inside the fan-out lambda `xd` would name the
+  // running worker's own (empty) thread_local.
+  const double* widened = xd.data();
   const std::int64_t row_blocks =
       (n_rows + kProjectRowBlock - 1) / kProjectRowBlock;
   const std::int64_t out_blocks =
@@ -203,21 +203,25 @@ void project_into(const WeightView& w, const float* x, const ProjectOut& out,
   if (n_rows * w.rows * w.cols < kParallelMacs ||
       row_blocks * out_blocks <= 1) {
     for (std::int64_t r0 = 0; r0 < n_rows; r0 += kProjectRowBlock) {
-      project_panel(w, x, out, r0, std::min(r0 + kProjectRowBlock, n_rows), 0,
-                    w.rows);
+      project_panel(w, widened, out, r0,
+                    std::min(r0 + kProjectRowBlock, n_rows), 0, w.rows);
     }
-    return;
+  } else {
+    ThreadPool& chosen = pool != nullptr ? *pool : global_thread_pool();
+    chosen.parallel_for(
+        static_cast<std::size_t>(row_blocks * out_blocks),
+        [&](std::size_t index) {
+          const auto block = static_cast<std::int64_t>(index);
+          const std::int64_t r0 = (block / out_blocks) * kProjectRowBlock;
+          const std::int64_t o0 = (block % out_blocks) * kProjectOutBlock;
+          project_panel(w, widened, out, r0,
+                        std::min(r0 + kProjectRowBlock, n_rows), o0,
+                        std::min(o0 + kProjectOutBlock, w.rows));
+        });
   }
-  ThreadPool& chosen = pool != nullptr ? *pool : global_thread_pool();
-  chosen.parallel_for(
-      static_cast<std::size_t>(row_blocks * out_blocks),
-      [&](std::size_t index) {
-        const auto block = static_cast<std::int64_t>(index);
-        const std::int64_t r0 = (block / out_blocks) * kProjectRowBlock;
-        const std::int64_t o0 = (block % out_blocks) * kProjectOutBlock;
-        project_panel(w, x, out, r0, std::min(r0 + kProjectRowBlock, n_rows),
-                      o0, std::min(o0 + kProjectOutBlock, w.rows));
-      });
+  // A serving call keeps its few KB for the next one; a whole-sequence
+  // forward (thousands of rows) gives its megabytes back.
+  if (xd.capacity() > kKeepWidened) std::vector<double>().swap(xd);
 }
 
 }  // namespace

@@ -72,6 +72,11 @@ namespace chipalign::kernels {
 /// Number of reduction lanes fixed by the contract (AVX2 fp32 width).
 inline constexpr std::size_t kLanes = 8;
 
+/// Scalar multiply-accumulates at which matmul, matmul_tn_accum and
+/// project start fanning fixed blocks across a ThreadPool (64K: one row
+/// through a 512 x 128 weight, ~5-10 us serial). Below it they run inline.
+inline constexpr std::int64_t kParallelMacs = std::int64_t{1} << 16;
+
 /// True when the AVX2 backend is compiled in and this CPU supports AVX2+FMA.
 bool simd_available();
 
@@ -145,8 +150,8 @@ struct WeightView {
 /// backend, so project(w, x, y, 1) == kernels::ref::matvec (and the _f16 /
 /// _bf16 / _i8 variants) bit-for-bit.
 ///
-/// Above a fixed amount of work the (row, weight-row) blocks fan across
-/// `pool` (nullptr selects the global pool); each output is written by
+/// From kParallelMacs on, the (row, weight-row) blocks fan across `pool`
+/// (nullptr selects the global pool); each output is written by
 /// exactly one task, so the result is identical for any pool size,
 /// including the inline nested case inside a pool worker.
 void project(const WeightView& w, const float* x, float* y,

@@ -2,10 +2,81 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace chipalign {
 
 namespace {
 thread_local bool tl_on_worker_thread = false;
+
+constexpr std::uint64_t kClosed = std::uint64_t{1} << 31;
+constexpr std::uint64_t kJoinedMask = kClosed - 1;
+/// Spin iterations between clock reads (and yields) while waiting.
+constexpr unsigned kSpinsPerClockRead = 64;
+
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+/// Moves the calling thread onto the `index`-th CPU of its affinity mask
+/// other than `avoid`, then restores the mask so it may float again. A
+/// helper does this when it wakes from parking: on a virtual machine whose
+/// idle vCPUs the host has descheduled, the kernel does not count those
+/// vCPUs as idle and queues every woken helper on the waking caller's CPU,
+/// where spinning keeps them stacked for up to a second. No-op off Linux.
+void spread_off(int avoid, std::size_t index) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (avoid < 0 || avoid >= CPU_SETSIZE ||
+      sched_getaffinity(0, sizeof allowed, &allowed) != 0) {
+    return;
+  }
+  const int others =
+      CPU_COUNT(&allowed) - (CPU_ISSET(avoid, &allowed) ? 1 : 0);
+  if (others < 1) return;
+  std::size_t skip = index % static_cast<std::size_t>(others);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || cpu == avoid || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof one, &one) == 0) {
+      sched_setaffinity(0, sizeof allowed, &allowed);
+    }
+    return;
+  }
+#else
+  (void)avoid;
+  (void)index;
+#endif
+}
+
+std::uint32_t epoch_of(std::uint64_t ctrl) {
+  return static_cast<std::uint32_t>(ctrl >> 32);
+}
+
+/// One spin-wait iteration: a pause, and on every kSpinsPerClockRead-th a
+/// yield, so that on an oversubscribed host a spinner hands its core to a
+/// runnable thread — perhaps the helper it is waiting for — instead of
+/// burning its timeslice.
+void spin_pause(unsigned spins) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (spins % kSpinsPerClockRead != 0) {
+    _mm_pause();
+    return;
+  }
+#endif
+  std::this_thread::yield();
+}
 }  // namespace
 
 void ThreadPool::Batch::wait() {
@@ -19,19 +90,20 @@ void ThreadPool::Batch::wait() {
 }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t cores =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  if (num_threads == 0) num_threads = cores;
+  helpers_ = num_threads > 1 ? std::min(num_threads, cores - 1) : 0;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
+    stopping_.store(true, std::memory_order_release);
   }
   task_available_.notify_all();
   for (auto& worker : workers_) worker.join();
@@ -61,81 +133,165 @@ void ThreadPool::submit(Batch& batch, std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     tasks_.push(std::move(wrapped));
+    queued_.fetch_add(1, std::memory_order_relaxed);
   }
   task_available_.notify_one();
+}
+
+void ThreadPool::drain(const std::function<void(std::size_t)>& fn,
+                       std::size_t count) {
+  for (std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+       i < count; i = next_.fetch_add(1, std::memory_order_relaxed)) {
+    fn(i);
+  }
 }
 
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (count == 1 || workers_.size() == 1 || on_worker_thread()) {
-    // Inline path: trivial fan-out, single-worker pool, or a nested call
-    // from inside a worker task (queueing would deadlock once every worker
-    // blocks waiting for queued subtasks that no thread is free to run).
+  if (count == 1 || helpers_ == 0 || on_worker_thread() ||
+      in_flight_.exchange(true, std::memory_order_acquire)) {
+    // Inline path: trivial fan-out, a pool without helpers, a nested call
+    // from inside a worker task (waiting on workers that may all be inside
+    // such calls could deadlock), or another caller's job in flight.
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  // Work-sharing dispatch: helpers and the calling thread pull indices from
-  // a shared counter, so the queue sees at most workers_.size() entries (one
-  // lock + one notify each) instead of `count` — and the caller's share of
-  // indices runs immediately, before any worker has even woken up. Index →
-  // thread assignment becomes scheduling-dependent, but each index runs
-  // exactly once, which is all the deterministic kernels require.
-  std::atomic<std::size_t> next{0};
-  const auto drain = [&fn, &next, count] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-  };
-  Batch batch;
-  const std::size_t helpers = std::min(workers_.size(), count - 1);
-  const auto helper = [&batch, &drain] {
-    try {
-      if (!batch.cancelled()) drain();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(batch.mutex_);
-      if (!batch.first_error_) batch.first_error_ = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(batch.mutex_);
-    if (--batch.pending_ == 0) batch.done_.notify_all();
-  };
-  {
-    std::lock_guard<std::mutex> lock(batch.mutex_);
-    batch.pending_ = helpers;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t h = 0; h < helpers; ++h) tasks_.push(helper);
-  }
-  if (helpers > 1) {
+  // Publish the job. No helper of the previous job is still running (the
+  // previous caller waited for all that joined), so the slot is ours.
+  job_fn_.store(&fn, std::memory_order_relaxed);
+  job_count_.store(count, std::memory_order_relaxed);
+  next_.store(0, std::memory_order_relaxed);
+  done_.store(0, std::memory_order_relaxed);
+  job_error_ = nullptr;
+  caller_cpu_.store(current_cpu(), std::memory_order_relaxed);
+  ctrl_.store(static_cast<std::uint64_t>(++epoch_) << 32);
+  // Pairs with the parked helper's increment-then-check of the epoch (both
+  // sequentially consistent): either it sees the new epoch or we see it
+  // parked. Taking the mutex orders the notify after its wait began.
+  if (parked_helpers_.load() > 0) {
+    { std::lock_guard<std::mutex> lock(mutex_); }
     task_available_.notify_all();
-  } else {
-    task_available_.notify_one();
   }
   std::exception_ptr caller_error;
   try {
-    drain();
+    drain(fn, count);
   } catch (...) {
     caller_error = std::current_exception();
   }
-  batch.wait();  // rethrows the first helper error, if any
+  const std::uint64_t ctrl =
+      ctrl_.fetch_or(kClosed, std::memory_order_acq_rel);
+  wait_for_helpers(static_cast<std::uint32_t>(ctrl & kJoinedMask));
+  std::exception_ptr helper_error = job_error_;
+  in_flight_.store(false, std::memory_order_release);
   if (caller_error) std::rethrow_exception(caller_error);
+  if (helper_error) std::rethrow_exception(helper_error);
 }
 
-void ThreadPool::worker_loop() {
-  tl_on_worker_thread = true;
-  while (true) {
-    std::function<void()> task;
-    {
+void ThreadPool::wait_for_helpers(std::uint32_t joined) {
+  // Joined helpers are running indices, so completion is usually a few
+  // microseconds away: spin. A long job (a parallel eval shard, say) parks
+  // the caller after one spin window instead of burning its core.
+  const Clock::time_point start = Clock::now();
+  for (unsigned spins = 1;
+       done_.load(std::memory_order_acquire) != joined; ++spins) {
+    if (spins % kSpinsPerClockRead == 0 &&
+        Clock::now() - start >= kSpinWindow) {
       std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(lock, [this] { return stopping_
-                                         || !tasks_.empty(); });
-      if (stopping_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      caller_parked_.store(true);
+      job_done_.wait(lock, [&] { return done_.load() == joined; });
+      caller_parked_.store(false, std::memory_order_relaxed);
+      return;
     }
-    task();  // exceptions are captured by the Batch wrapper
+    spin_pause(spins);
+  }
+}
+
+void ThreadPool::help(std::uint64_t ctrl) {
+  const std::uint32_t epoch = epoch_of(ctrl);
+  // Join: one CAS on the control word, refused once the caller closed it.
+  while (true) {
+    if ((ctrl & kClosed) != 0 || epoch_of(ctrl) != epoch) return;
+    if (ctrl_.compare_exchange_weak(ctrl, ctrl + 1,
+                                    std::memory_order_acquire)) {
+      break;
+    }
+  }
+  try {
+    drain(*job_fn_.load(std::memory_order_relaxed),
+          job_count_.load(std::memory_order_relaxed));
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(error_mutex_);
+    if (!job_error_) job_error_ = std::current_exception();
+  }
+  // After this increment the caller may return and reuse the slot; only
+  // pool members are touched below. Sequentially consistent against the
+  // caller's parked-flag store, like the epoch/parked pair above.
+  done_.fetch_add(1);
+  if (caller_parked_.load()) {
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    job_done_.notify_one();
+  }
+}
+
+bool ThreadPool::run_queued_task() {
+  std::function<void()> task;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop();
+    queued_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  task();  // exceptions are captured by the Batch wrapper
+  return true;
+}
+
+void ThreadPool::worker_loop(std::size_t index) {
+  tl_on_worker_thread = true;
+  const bool helper = index < helpers_;
+  std::uint32_t seen = epoch_of(ctrl_.load(std::memory_order_acquire));
+  Clock::time_point last_job;  // the clock's epoch: start parked
+  unsigned spins = 0;
+  while (true) {
+    if (queued_.load(std::memory_order_relaxed) > 0 && run_queued_task()) {
+      continue;
+    }
+    if (helper) {
+      const std::uint64_t ctrl = ctrl_.load(std::memory_order_acquire);
+      if (epoch_of(ctrl) != seen) {
+        seen = epoch_of(ctrl);
+        help(ctrl);
+        last_job = Clock::now();
+        continue;
+      }
+    }
+    if (stopping_.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (tasks_.empty()) return;
+      continue;
+    }
+    // Helpers spin through the window after their last parallel_for job
+    // (a queued task does not extend it); queue-only workers, and helpers
+    // past the window, park.
+    if (helper && (++spins % kSpinsPerClockRead != 0 ||
+                   Clock::now() - last_job < kSpinWindow)) {
+      spin_pause(spins);
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (helper) parked_helpers_.fetch_add(1);
+    task_available_.wait(lock, [&] {
+      return stopping_.load(std::memory_order_relaxed) || !tasks_.empty() ||
+             (helper && epoch_of(ctrl_.load()) != seen);
+    });
+    if (!helper) continue;
+    parked_helpers_.fetch_sub(1, std::memory_order_relaxed);
+    const std::uint64_t ctrl = ctrl_.load(std::memory_order_acquire);
+    if (epoch_of(ctrl) != seen) {
+      lock.unlock();
+      spread_off(caller_cpu_.load(std::memory_order_relaxed), index);
+    }
   }
 }
 

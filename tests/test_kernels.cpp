@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -147,8 +148,9 @@ struct MatShape {
 };
 
 /// Mix of degenerate, odd, and block-boundary-crossing shapes. The matmul
-/// row fan-out uses 16-row blocks above ~4.2M MACs, so the last entries run
-/// both the serial and the thread-pool paths; results must not differ.
+/// row fan-out uses 16-row blocks from kParallelMacs (64K) on, so the last
+/// entries run both the serial and the thread-pool paths; results must not
+/// differ.
 const MatShape kMatShapes[] = {
     {1, 1, 1},   {1, 7, 3},   {3, 1, 5},    {5, 8, 9},     {16, 16, 16},
     {17, 9, 33}, {40, 24, 31}, {33, 65, 18}, {70, 300, 200}, {96, 512, 128},
@@ -206,7 +208,7 @@ TEST_F(KernelBackends, MatmulTnAccumMatchesRefBitwise) {
 
 // A shape large enough to trigger the thread-pool fan-out must yield the
 // same bits as the (serial) reference — thread-count invariance of the
-// fixed block geometry. 256x256x256 = 16.7M MACs > the 2.1M threshold.
+// fixed block geometry. 256x256x256 = 16.7M MACs > kParallelMacs.
 TEST_F(KernelBackends, ParallelMatmulIsBitIdenticalToSerialRef) {
   Rng rng(110);
   const std::int64_t d = 256;
@@ -259,7 +261,7 @@ TEST_F(KernelBackends, MatvecMatchesRefBitwise) {
 // A one-row project() fanned over a pool must produce ref's bits at every
 // thread count: each output is one contract-reduced dot, written by exactly
 // one task, so the block partitioning cannot show up in the result.
-// 2048x1024 = 2.1M MACs reaches the parallelization threshold.
+// 2048x1024 = 2.1M MACs is past kParallelMacs.
 TEST_F(KernelBackends, ParallelMatvecIsThreadCountInvariant) {
   Rng rng(113);
   const std::int64_t out_dim = 2048;
@@ -372,7 +374,7 @@ TEST_F(KernelBackends, ProjectMatchesRefBitwiseAllDtypes) {
 }
 
 // Above the fan-out threshold (26 x 130 x 620 = 2.1M MACs: two row blocks
-// and three weight-row blocks, each with a remainder) every dtype gives
+// and five weight-row blocks, each with a remainder) every dtype gives
 // ref's bits on pools of 1 and 4 workers, and matmul_nt / matmul_nt_i8 —
 // the [m, n]-layout wrappers — match their references too.
 TEST_F(KernelBackends, ProjectFanOutIsPoolSizeInvariantAllDtypes) {
@@ -408,6 +410,74 @@ TEST_F(KernelBackends, ProjectFanOutIsPoolSizeInvariantAllDtypes) {
                           w.rows, w.cols, n_rows);
     EXPECT_TRUE(bitwise_equal(got, i8_expected)) << "backend=" << backend;
   });
+}
+
+// At the fan-out boundary: for each served row count (1, a 5-row verify
+// block, 8 and 16 batched rows, and 17) and weight-row count (64, 100, 128,
+// 512), k just below and just above kParallelMacs plus the served k = 128.
+// Every dtype, backend and pool of 1, 2 and 4 workers must give ref's
+// bits. Even activation rows are crafted so that only the contract's
+// combine tree yields the stored value: weights hold the same c at columns
+// 0, 4 and 6, and x = 1, -1 and 2^-60 there (0 elsewhere), so lanes 0 and
+// 4 cancel and lane 6's c * 2^-60 is lost to ((l4+l5)+(l6+l7)) rounding to
+// -c — the output is exactly 0, where a serial sum or another tree gives
+// c * 2^-60. Odd rows are random, so a block written to the wrong place
+// shows too.
+TEST_F(KernelBackends, ProjectFanOutBoundaryIsPoolSizeInvariantAllDtypes) {
+  Rng rng(116);
+  const float tiny = std::ldexp(1.0F, -60);
+  ThreadPool pool1(1);
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  ThreadPool* const pools[] = {&pool1, &pool2, &pool4};
+  for (const std::int64_t n_rows : {1, 5, 8, 16, 17}) {
+    for (const std::int64_t out : {64, 100, 128, 512}) {
+      const std::int64_t above =
+          (kernels::kParallelMacs + n_rows * out - 1) / (n_rows * out);
+      ASSERT_GE(above - 1, 7) << "crafted rows need k >= 7";
+      for (const std::int64_t cols : {above - 1, above, std::int64_t{128}}) {
+        StoredWeights w(out, cols, rng);
+        for (std::int64_t o = 0; o < out; ++o) {
+          const auto c = static_cast<float>(1 + o % 7);
+          for (const std::int64_t col : {0, 4, 6}) {
+            const auto at = static_cast<std::size_t>(o * cols + col);
+            w.f32[at] = c;
+            w.f16[at] = f32_to_f16_bits(c);
+            w.bf16[at] = f32_to_bf16_bits(c);
+            w.i8[at] = static_cast<std::int8_t>(c);
+          }
+        }
+        auto x = random_vec(static_cast<std::size_t>(n_rows * cols), rng);
+        for (std::int64_t r = 0; r < n_rows; r += 2) {
+          float* row = x.data() + r * cols;
+          std::fill(row, row + cols, 0.0F);
+          row[0] = 1.0F;
+          row[4] = -1.0F;
+          row[6] = tiny;
+        }
+        for (const DType dtype : kWeightDtypes) {
+          const auto expected = w.expected(dtype, x, n_rows);
+          for (std::int64_t r = 0; r < n_rows; r += 2) {
+            for (std::int64_t o = 0; o < out; ++o) {
+              ASSERT_EQ(expected[static_cast<std::size_t>(r * out + o)], 0.0F)
+                  << "crafted row must cancel to 0 under the contract";
+            }
+          }
+          for_each_backend([&](const char* backend) {
+            for (ThreadPool* pool : pools) {
+              std::vector<float> got(expected.size(), -1.0F);
+              kernels::project(w.view(dtype), x.data(), got.data(), n_rows,
+                               pool);
+              EXPECT_TRUE(bitwise_equal(got, expected))
+                  << dtype_name(dtype) << " rows=" << n_rows << " out=" << out
+                  << " k=" << cols << " threads=" << pool->size()
+                  << " backend=" << backend;
+            }
+          });
+        }
+      }
+    }
+  }
 }
 
 // The lane contract through project(): lanes 0 and 4 cancel, and 2^-60 in

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -446,6 +448,48 @@ TEST(ServeLifecycle, WatchdogDetectsStalledDriverLoop) {
 
   server.run();  // driver arrives; the stalled work still completes
   EXPECT_EQ(server.wait_result(id).status, SessionStatus::kCompleted);
+}
+
+// An idle serve() driver blocks on its condition variable, and the global
+// pool's helpers — hot from the fanned-out projections of the burst just
+// served (d_model 128, d_ff 512: every projection of a 6-row step is past
+// kernels::kParallelMacs) — park after one spin window. So an idle second
+// costs the process under 5% of one core.
+TEST(ServeLifecycle, IdleServeCostsUnderFivePercentOfACore) {
+  ModelConfig config = text_config();
+  config.d_model = 128;
+  config.n_heads = 4;
+  config.n_kv_heads = 2;
+  config.d_ff = 512;
+  config.validate();
+  Rng rng(3);
+  const TransformerModel model(config, rng);
+  const auto prompts = lifecycle_prompts();
+  ServeConfig serve;
+  serve.max_batch = static_cast<std::int64_t>(prompts.size());
+  Server server(model, serve);
+  std::thread driver([&] { server.serve(); });
+  GenerateOptions options;
+  options.max_new_tokens = 8;
+  std::vector<SessionId> ids;
+  for (const auto& prompt : prompts) {
+    ids.push_back(server.submit(server.text_request(prompt, options)));
+  }
+  for (const SessionId id : ids) {
+    EXPECT_EQ(server.wait_result(id).status, SessionStatus::kCompleted);
+  }
+  const auto process_cpu_s = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  const double before = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double idle_cpu_s = process_cpu_s() - before;
+  server.drain();
+  driver.join();
+  EXPECT_LT(idle_cpu_s, 0.05);
 }
 
 // ---- ServeDrain ----------------------------------------------------------

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <ctime>
 #include <set>
 #include <thread>
 #include <vector>
@@ -315,6 +317,30 @@ TEST(ThreadPool, CrossThreadBatchCancelSkipsQueuedWorkAndStaysUsable) {
   fresh.wait();
   EXPECT_EQ(fresh_ran.load(), 8);
   EXPECT_FALSE(fresh.cancelled());
+}
+
+// After a burst of fan-outs the helpers spin for at most one
+// ThreadPool::kSpinWindow and then park on the condition variable: an idle
+// second afterwards must cost the process under 5% of one core.
+TEST(ThreadPool, IdlePoolParksAfterSpinWindow) {
+  ThreadPool pool(4);
+  std::atomic<std::size_t> sum{0};
+  for (int burst = 0; burst < 200; ++burst) {
+    pool.parallel_for(16, [&](std::size_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(sum.load(), 200U * 120U);
+  const auto process_cpu_s = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  };
+  const double before = process_cpu_s();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double idle_cpu_s = process_cpu_s() - before;
+  EXPECT_LT(idle_cpu_s, 0.05) << "helpers=" << pool.helpers();
 }
 
 // Reference vectors for XXH64 with seed 0, from the canonical xxHash
