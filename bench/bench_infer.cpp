@@ -12,7 +12,7 @@
 //                    this host's SIMD matvec actually is. Enforced only
 //                    when the AVX2 backend is live.
 //   spec_decode_speedup  speculative greedy decode (prompt-lookup drafting
-//                    + multi-token verify_step) >= 1.5x plain greedy decode
+//                    + multi-token forward blocks) >= 1.5x plain greedy decode
 //                    tokens/sec on a copy-heavy prompt. Skipped when the
 //                    workload's acceptance length is too low for drafting
 //                    to pay, or when a batched-matmul probe shows the host
@@ -663,11 +663,11 @@ int main(int argc, char** argv) {
   // Copy-heavy workload: the prompt repeats a short token block, the way a
   // QA answer quotes its retrieved context, and greedy decode settles into
   // repeating patterns prompt-lookup predicts well. draft_k = 0 runs the
-  // identical loop with one decode_step per token, so the comparison
-  // isolates drafting + the batched verify path. Only the decode loop is
-  // timed (prefill is common to both sides). Byte-identity of the emitted
-  // tokens is fatal: greedy acceptance makes speculation a pure throughput
-  // knob, never a quality one.
+  // identical loop with one one-token forward() per token, so the
+  // comparison isolates drafting + the multi-row verify block. Only the
+  // decode loop is timed (prefill is common to both sides). Byte-identity
+  // of the emitted tokens is fatal: greedy acceptance makes speculation a
+  // pure throughput knob, never a quality one.
   const auto draft_k = static_cast<std::int64_t>(draft_k_arg);
   std::vector<TokenId> spec_prompt(
       static_cast<std::size_t>(sizes.prefill_tokens));
@@ -680,9 +680,12 @@ int main(int argc, char** argv) {
     std::vector<float> logits = session.prefill(spec_prompt);
     PromptLookupDrafter drafter(1, 3);
     Timer t;
-    toks = speculative_decode_tokens(session, logits, spec_prompt, drafter,
-                                     k, sizes.decode_tokens,
-                                     /*stop_at_newline=*/false, stats);
+    const TokenPicker argmax = [](std::span<const float> row) {
+      return static_cast<TokenId>(ops::argmax(row));
+    };
+    toks = decode_tokens(session, logits, spec_prompt, argmax, &drafter, k,
+                         sizes.decode_tokens, /*stop_at_newline=*/false,
+                         stats);
     return t.seconds();
   };
   std::vector<TokenId> plain_toks;

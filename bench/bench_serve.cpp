@@ -18,9 +18,10 @@
 // determinism of the quantized engine; its tokens/s is trend-tracked in CI.
 //
 // A fourth phase turns on speculative decoding (ServeConfig::speculative:
-// prompt-lookup drafting + one multi-token verify_step per greedy session
-// per step) in three configurations — fp32, fp32 + prefix cache on the QA
-// workload, and int8 + fp16 KV — and requires every output byte-identical
+// prompt-lookup drafting, each greedy session's pending token plus drafts
+// scored as one row group of the step's forward()) in three
+// configurations — fp32, fp32 + prefix cache on the QA workload, and
+// int8 + fp16 KV — and requires every output byte-identical
 // to its non-speculative counterpart (fatal): greedy acceptance makes
 // speculation a pure throughput knob. Per-phase acceptance length and
 // draft hit rate land in BENCH_serve.json.

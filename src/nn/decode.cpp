@@ -17,8 +17,7 @@ namespace {
 /// kernels::project call over the parameter's storage (fp32 values or the
 /// quantized payload, dequantized inside the kernel). Every output is the
 /// contract-reduced dot, so a row's bits do not depend on how many rows
-/// share the call: a serial step (rows = 1), a batched step (B) and a
-/// verify block (T) agree.
+/// share the call.
 void project(const Parameter& p, const float* x, float* y,
              std::int64_t rows) {
   using kernels::WeightView;
@@ -56,8 +55,7 @@ void rmsnorm_row(std::span<const float> x, std::span<const float> gain,
 
 float sigmoid(float x) { return 1.0F / (1.0F + std::exp(-x)); }
 
-/// gate[i] = gate[i] * sigmoid(gate[i]) * up[i] — the SwiGLU combine,
-/// shared by the serial and batched paths so their float ops agree exactly.
+/// gate[i] = gate[i] * sigmoid(gate[i]) * up[i] — the SwiGLU combine.
 void swiglu_row(std::span<float> gate, std::span<const float> up) {
   for (std::size_t i = 0; i < gate.size(); ++i) {
     gate[i] = gate[i] * sigmoid(gate[i]) * up[i];
@@ -71,8 +69,8 @@ void add_row(std::span<float> x, std::span<const float> delta) {
 /// Causal GQA attention for one session at `pos` in `layer`; k/v for `pos`
 /// must already be written (RoPE'd and dtype-converted) into the state's
 /// cache. Reads q [d], writes att [d] using scores [>= pos+1] as scratch.
-/// Identical code serves the serial and batched paths; an fp16 cache swaps
-/// dot/axpy for their exactly-dequantizing fp16 variants.
+/// An fp16 cache swaps dot/axpy for their exactly-dequantizing fp16
+/// variants.
 void attention_row(const TransformerModel& model, const SessionState& state,
                    std::int64_t layer, std::int64_t pos,
                    std::span<const float> q, std::span<float> att,
@@ -113,21 +111,6 @@ void attention_row(const TransformerModel& model, const SessionState& state,
   }
 }
 
-void check_step_args(const ModelConfig& config, const SessionState& state,
-                     TokenId token) {
-  CA_CHECK(state.position < state.capacity,
-           "session KV cache full at position " << state.position
-                                                << " (capacity "
-                                                << state.capacity << ")");
-  CA_CHECK(state.kv_dim == config.n_kv_heads * config.head_dim() &&
-               state.n_layers == config.n_layers,
-           "session state shape (n_layers " << state.n_layers << ", kv_dim "
-                                            << state.kv_dim
-                                            << ") does not match this model");
-  CA_CHECK(token >= 0 && token < config.vocab_size,
-           "token id " << token << " out of vocab");
-}
-
 }  // namespace
 
 DecodeScratch::DecodeScratch(const ModelConfig& config,
@@ -149,168 +132,100 @@ DecodeScratch::DecodeScratch(const ModelConfig& config,
   k_new.resize(b * kv);
   v_new.resize(b * kv);
   scores.resize(b * static_cast<std::size_t>(config.max_seq_len));
+  row_state.resize(b);
+  row_pos.resize(b);
 }
 
-void decode_step(const TransformerModel& model, SessionState& state,
-                 DecodeScratch& scratch, TokenId token,
-                 std::span<float> logits) {
+void forward(const TransformerModel& model,
+             std::span<const ForwardGroup> groups, DecodeScratch& scratch,
+             std::span<float> logits, ThreadPool* pool) {
   const auto& config = model.config();
-  check_step_args(config, state, token);
-  CA_CHECK(static_cast<std::int64_t>(logits.size()) == config.vocab_size,
-           "decode_step logits size");
+  CA_CHECK(!groups.empty(), "forward with no groups");
+  std::int64_t rows = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const SessionState* state = groups[g].state;
+    const auto len = static_cast<std::int64_t>(groups[g].tokens.size());
+    CA_CHECK(state != nullptr, "forward: group " << g << " has no state");
+    CA_CHECK(len > 0, "forward: group " << g << " has no tokens");
+    CA_CHECK(state->kv_dim == config.n_kv_heads * config.head_dim() &&
+                 state->n_layers == config.n_layers,
+             "session state shape (n_layers "
+                 << state->n_layers << ", kv_dim " << state->kv_dim
+                 << ") does not match this model");
+    CA_CHECK(state->position + len <= state->capacity,
+             "forward: group " << g << " of " << len
+                               << " tokens overflows KV capacity "
+                               << state->capacity << " at position "
+                               << state->position);
+    for (const TokenId token : groups[g].tokens) {
+      CA_CHECK(token >= 0 && token < config.vocab_size,
+               "token id " << token << " out of vocab");
+    }
+    // A state may appear in at most one group: the per-row KV writes and
+    // attention reads assume disjoint caches, and an aliased state would
+    // corrupt both groups silently.
+    for (std::size_t a = 0; a < g; ++a) {
+      CA_CHECK(groups[a].state != state,
+               "forward: session state aliased at groups " << a << " and "
+                                                           << g);
+    }
+    rows += len;
+  }
+  CA_CHECK(rows <= scratch.max_batch,
+           "forward of " << rows << " rows exceeds scratch capacity "
+                         << scratch.max_batch);
+  CA_CHECK(static_cast<std::int64_t>(logits.size()) ==
+               rows * config.vocab_size,
+           "forward logits size " << logits.size() << " for " << rows
+                                  << " rows");
 
   const auto d = static_cast<std::size_t>(config.d_model);
+  const auto d_ff = static_cast<std::size_t>(config.d_ff);
   const std::int64_t hd = config.head_dim();
-  const std::int64_t pos = state.position;
-  const auto kv = static_cast<std::size_t>(state.kv_dim);
+  const auto kv = static_cast<std::size_t>(config.n_kv_heads * hd);
+  const auto seq = static_cast<std::size_t>(config.max_seq_len);
+  const auto row_f = [](std::vector<float>& buf, std::int64_t r,
+                        std::size_t dim) {
+    return std::span<float>(buf.data() + static_cast<std::size_t>(r) * dim,
+                            dim);
+  };
 
-  const std::span<float> x(scratch.x.data(), d);
-  const std::span<float> normed(scratch.normed.data(), d);
-  const std::span<float> q(scratch.q.data(), d);
-  const std::span<float> att(scratch.att.data(), d);
-  const std::span<float> proj(scratch.proj.data(), d);
-  const std::span<float> gate(scratch.gate.data(),
-                              static_cast<std::size_t>(config.d_ff));
-  const std::span<float> up(scratch.up.data(),
-                            static_cast<std::size_t>(config.d_ff));
-  const std::span<float> scores(scratch.scores.data(),
-                                static_cast<std::size_t>(config.max_seq_len));
-
-  embed_lookup(model.embed(), token, x);
+  std::int64_t filled = 0;
+  for (const ForwardGroup& group : groups) {
+    for (std::size_t t = 0; t < group.tokens.size(); ++t, ++filled) {
+      const auto fi = static_cast<std::size_t>(filled);
+      scratch.row_state[fi] = group.state;
+      scratch.row_pos[fi] =
+          group.state->position + static_cast<std::int64_t>(t);
+      embed_lookup(model.embed(), group.tokens[t],
+                   row_f(scratch.x, filled, d));
+    }
+  }
 
   for (std::size_t layer = 0; layer < model.blocks().size(); ++layer) {
     const TransformerBlock& block = model.blocks()[layer];
     const auto l = static_cast<std::int64_t>(layer);
-    // Fresh K/V rows are computed and RoPE'd in fp32 scratch, then stored
+
+    for (std::int64_t r = 0; r < rows; ++r) {
+      rmsnorm_row(row_f(scratch.x, r, d), block.input_norm.value.values(),
+                  config.norm_eps, row_f(scratch.normed, r, d));
+    }
+    project(block.q_proj, scratch.normed.data(), scratch.q.data(), rows);
+    project(block.k_proj, scratch.normed.data(), scratch.k_new.data(), rows);
+    project(block.v_proj, scratch.normed.data(), scratch.v_new.data(), rows);
+
+    // Wave 1, on the caller (a few hundred flops per row): RoPE and the
+    // K/V store. Fresh K/V rows are RoPE'd in fp32 scratch, then stored
     // through the cache's dtype converter (bit copy for an fp32 cache).
-    const std::span<float> k_new(scratch.k_new.data(), kv);
-    const std::span<float> v_new(scratch.v_new.data(), kv);
-
-    rmsnorm_row(x, block.input_norm.value.values(), config.norm_eps, normed);
-    project(block.q_proj, normed.data(), q.data(), 1);
-    project(block.k_proj, normed.data(), k_new.data(), 1);
-    project(block.v_proj, normed.data(), v_new.data(), 1);
-
-    for (std::int64_t h = 0; h < config.n_heads; ++h) {
-      model.rotary().apply(
-          std::span<float>(q.data() + h * hd, static_cast<std::size_t>(hd)),
-          pos);
-    }
-    for (std::int64_t h = 0; h < config.n_kv_heads; ++h) {
-      model.rotary().apply(
-          std::span<float>(k_new.data() + h * hd,
-                           static_cast<std::size_t>(hd)),
-          pos);
-    }
-    state.store_k_row(l, pos, k_new.data());
-    state.store_v_row(l, pos, v_new.data());
-
-    attention_row(model, state, l, pos, q, att, scores);
-
-    project(block.o_proj, att.data(), proj.data(), 1);
-    add_row(x, proj);
-
-    rmsnorm_row(x, block.post_norm.value.values(), config.norm_eps, normed);
-    project(block.gate_proj, normed.data(), gate.data(), 1);
-    project(block.up_proj, normed.data(), up.data(), 1);
-    swiglu_row(gate, up);
-    project(block.down_proj, gate.data(), proj.data(), 1);
-    add_row(x, proj);
-  }
-
-  rmsnorm_row(x, model.final_norm().value.values(), config.norm_eps, normed);
-  // The [vocab, d] tied LM head dominates per-token cost; above the kernel
-  // layer's work threshold its output rows fan across the pool.
-  project(model.embed(), normed.data(), logits.data(), 1);
-  ++state.position;
-}
-
-void batched_decode_step(const TransformerModel& model,
-                         std::span<SessionState* const> states,
-                         std::span<const TokenId> tokens,
-                         DecodeScratch& scratch, std::span<float> logits,
-                         ThreadPool* pool) {
-  const auto& config = model.config();
-  const auto batch = static_cast<std::int64_t>(states.size());
-  CA_CHECK(batch > 0, "batched_decode_step on empty batch");
-  CA_CHECK(batch <= scratch.max_batch,
-           "batch " << batch << " exceeds scratch capacity "
-                    << scratch.max_batch);
-  CA_CHECK(static_cast<std::int64_t>(tokens.size()) == batch,
-           "batched_decode_step token count");
-  CA_CHECK(static_cast<std::int64_t>(logits.size()) ==
-               batch * config.vocab_size,
-           "batched_decode_step logits size");
-  if (batch == 1) {
-    // Single-row batches take the serial step: identical bits, without the
-    // per-row bookkeeping.
-    decode_step(model, *states[0], scratch, tokens[0], logits);
-    return;
-  }
-  for (std::int64_t b = 0; b < batch; ++b) {
-    check_step_args(config, *states[b], tokens[b]);
-    // A session state may appear in at most one row: the per-row KV writes
-    // and attention reads assume disjoint caches, and an aliased state would
-    // corrupt both rows silently (the serving engine's batch former must
-    // never emit duplicates — e.g. when re-forming a batch after a mid-batch
-    // cancellation or deadline eviction).
-    for (std::int64_t a = 0; a < b; ++a) {
-      CA_CHECK(states[a] != states[b],
-               "batched_decode_step: session state aliased at rows "
-                   << a << " and " << b);
-    }
-  }
-
-  const auto d = static_cast<std::size_t>(config.d_model);
-  const auto d_ff = static_cast<std::size_t>(config.d_ff);
-  const std::int64_t hd = config.head_dim();
-  const auto kv = static_cast<std::size_t>(config.n_kv_heads * hd);
-  const auto seq = static_cast<std::size_t>(config.max_seq_len);
-  const auto row_f = [](std::vector<float>& buf, std::int64_t b,
-                        std::size_t dim) {
-    return std::span<float>(buf.data() + static_cast<std::size_t>(b) * dim,
-                            dim);
-  };
-
-  for (std::int64_t b = 0; b < batch; ++b) {
-    embed_lookup(model.embed(), tokens[b], row_f(scratch.x, b, d));
-  }
-
-  // Per-session work (KV write, RoPE, attention) is independent across the
-  // batch and writes disjoint rows, so fanning it over the pool changes
-  // nothing but wall-clock.
-  const auto for_each_row = [&](const std::function<void(std::size_t)>& fn) {
-    if (pool != nullptr && batch > 1) {
-      pool->parallel_for(static_cast<std::size_t>(batch), fn);
-    } else {
-      for (std::int64_t b = 0; b < batch; ++b) {
-        fn(static_cast<std::size_t>(b));
-      }
-    }
-  };
-
-  for (std::size_t layer = 0; layer < model.blocks().size(); ++layer) {
-    const TransformerBlock& block = model.blocks()[layer];
-
-    for (std::int64_t b = 0; b < batch; ++b) {
-      rmsnorm_row(row_f(scratch.x, b, d), block.input_norm.value.values(),
-                  config.norm_eps, row_f(scratch.normed, b, d));
-    }
-    project(block.q_proj, scratch.normed.data(), scratch.q.data(), batch);
-    project(block.k_proj, scratch.normed.data(), scratch.k_new.data(), batch);
-    project(block.v_proj, scratch.normed.data(), scratch.v_new.data(), batch);
-
-    for_each_row([&](std::size_t bi) {
-      const auto b = static_cast<std::int64_t>(bi);
-      SessionState& state = *states[b];
-      const std::int64_t pos = state.position;
-      const std::int64_t l = static_cast<std::int64_t>(layer);
-      float* k_new = scratch.k_new.data() + bi * kv;
-      const std::span<float> q = row_f(scratch.q, b, d);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      SessionState& state = *scratch.row_state[ri];
+      const std::int64_t pos = scratch.row_pos[ri];
+      float* q = scratch.q.data() + ri * d;
+      float* k_new = scratch.k_new.data() + ri * kv;
       for (std::int64_t h = 0; h < config.n_heads; ++h) {
         model.rotary().apply(
-            std::span<float>(q.data() + h * hd, static_cast<std::size_t>(hd)),
-            pos);
+            std::span<float>(q + h * hd, static_cast<std::size_t>(hd)), pos);
       }
       for (std::int64_t h = 0; h < config.n_kv_heads; ++h) {
         model.rotary().apply(
@@ -318,164 +233,56 @@ void batched_decode_step(const TransformerModel& model,
             pos);
       }
       state.store_k_row(l, pos, k_new);
-      state.store_v_row(l, pos, scratch.v_new.data() + bi * kv);
-      attention_row(model, state, l, pos, q, row_f(scratch.att, b, d),
-                    row_f(scratch.scores, b, seq));
-    });
-
-    project(block.o_proj, scratch.att.data(), scratch.proj.data(), batch);
-    for (std::int64_t b = 0; b < batch; ++b) {
-      add_row(row_f(scratch.x, b, d), row_f(scratch.proj, b, d));
+      state.store_v_row(l, pos, scratch.v_new.data() + ri * kv);
     }
-
-    for (std::int64_t b = 0; b < batch; ++b) {
-      rmsnorm_row(row_f(scratch.x, b, d), block.post_norm.value.values(),
-                  config.norm_eps, row_f(scratch.normed, b, d));
-    }
-    project(block.gate_proj, scratch.normed.data(), scratch.gate.data(), batch);
-    project(block.up_proj, scratch.normed.data(), scratch.up.data(), batch);
-    for (std::int64_t b = 0; b < batch; ++b) {
-      swiglu_row(row_f(scratch.gate, b, d_ff), row_f(scratch.up, b, d_ff));
-    }
-    project(block.down_proj, scratch.gate.data(), scratch.proj.data(), batch);
-    for (std::int64_t b = 0; b < batch; ++b) {
-      add_row(row_f(scratch.x, b, d), row_f(scratch.proj, b, d));
-    }
-  }
-
-  for (std::int64_t b = 0; b < batch; ++b) {
-    rmsnorm_row(row_f(scratch.x, b, d), model.final_norm().value.values(),
-                config.norm_eps, row_f(scratch.normed, b, d));
-  }
-  project(model.embed(), scratch.normed.data(), logits.data(), batch);
-  for (std::int64_t b = 0; b < batch; ++b) ++states[b]->position;
-}
-
-void verify_step(const TransformerModel& model, SessionState& state,
-                 DecodeScratch& scratch, std::span<const TokenId> tokens,
-                 std::span<float> logits, ThreadPool* pool) {
-  const auto& config = model.config();
-  const auto block_len = static_cast<std::int64_t>(tokens.size());
-  CA_CHECK(block_len > 0, "verify_step on empty token block");
-  CA_CHECK(block_len <= scratch.max_batch,
-           "verify block " << block_len << " exceeds scratch capacity "
-                           << scratch.max_batch);
-  CA_CHECK(static_cast<std::int64_t>(logits.size()) ==
-               block_len * config.vocab_size,
-           "verify_step logits size");
-  if (block_len == 1) {
-    // One-token blocks take the serial step: identical bits (the kernel
-    // contract), without the block bookkeeping.
-    decode_step(model, state, scratch, tokens[0], logits);
-    return;
-  }
-  CA_CHECK(state.position + block_len <= state.capacity,
-           "verify block of " << block_len << " tokens overflows KV capacity "
-                              << state.capacity << " at position "
-                              << state.position);
-  check_step_args(config, state, tokens[0]);
-  for (std::int64_t t = 1; t < block_len; ++t) {
-    CA_CHECK(tokens[t] >= 0 && tokens[t] < config.vocab_size,
-             "token id " << tokens[t] << " out of vocab");
-  }
-
-  const auto d = static_cast<std::size_t>(config.d_model);
-  const auto d_ff = static_cast<std::size_t>(config.d_ff);
-  const std::int64_t hd = config.head_dim();
-  const auto kv = static_cast<std::size_t>(config.n_kv_heads * hd);
-  const auto seq = static_cast<std::size_t>(config.max_seq_len);
-  const std::int64_t pos0 = state.position;
-  const auto row_f = [](std::vector<float>& buf, std::int64_t t,
-                        std::size_t dim) {
-    return std::span<float>(buf.data() + static_cast<std::size_t>(t) * dim,
-                            dim);
-  };
-
-  for (std::int64_t t = 0; t < block_len; ++t) {
-    embed_lookup(model.embed(), tokens[t], row_f(scratch.x, t, d));
-  }
-
-  // Rows fan over the pool in two waves per layer: first every row's RoPE +
-  // KV store (disjoint cache rows), then — only once ALL block rows are in
-  // the cache — every row's attention, since row t reads the K/V this block
-  // just stored for rows 0..t. Within a wave rows are independent, so any
-  // pool size produces identical bits.
-  const auto for_each_row = [&](const std::function<void(std::size_t)>& fn) {
+    // Wave 2: attention, once every row of every group is in its cache.
+    // Rows write disjoint scratch rows, so the pool changes only
+    // wall-clock.
+    const auto attend = [&](std::size_t ri) {
+      const auto ra = static_cast<std::int64_t>(ri);
+      attention_row(model, *scratch.row_state[ri], l, scratch.row_pos[ri],
+                    row_f(scratch.q, ra, d), row_f(scratch.att, ra, d),
+                    row_f(scratch.scores, ra, seq));
+    };
     if (pool != nullptr) {
-      pool->parallel_for(static_cast<std::size_t>(block_len), fn);
+      pool->parallel_for(static_cast<std::size_t>(rows), attend);
     } else {
-      for (std::int64_t t = 0; t < block_len; ++t) {
-        fn(static_cast<std::size_t>(t));
+      for (std::size_t ri = 0; ri < static_cast<std::size_t>(rows); ++ri) {
+        attend(ri);
       }
     }
-  };
 
-  for (std::size_t layer = 0; layer < model.blocks().size(); ++layer) {
-    const TransformerBlock& block = model.blocks()[layer];
-    const auto l = static_cast<std::int64_t>(layer);
-
-    for (std::int64_t t = 0; t < block_len; ++t) {
-      rmsnorm_row(row_f(scratch.x, t, d), block.input_norm.value.values(),
-                  config.norm_eps, row_f(scratch.normed, t, d));
-    }
-    project(block.q_proj, scratch.normed.data(), scratch.q.data(), block_len);
-    project(block.k_proj, scratch.normed.data(), scratch.k_new.data(),
-            block_len);
-    project(block.v_proj, scratch.normed.data(), scratch.v_new.data(),
-            block_len);
-
-    for_each_row([&](std::size_t ti) {
-      const auto t = static_cast<std::int64_t>(ti);
-      const std::int64_t pos = pos0 + t;
-      float* k_new = scratch.k_new.data() + ti * kv;
-      const std::span<float> q = row_f(scratch.q, t, d);
-      for (std::int64_t h = 0; h < config.n_heads; ++h) {
-        model.rotary().apply(
-            std::span<float>(q.data() + h * hd, static_cast<std::size_t>(hd)),
-            pos);
-      }
-      for (std::int64_t h = 0; h < config.n_kv_heads; ++h) {
-        model.rotary().apply(
-            std::span<float>(k_new + h * hd, static_cast<std::size_t>(hd)),
-            pos);
-      }
-      state.store_k_row(l, pos, k_new);
-      state.store_v_row(l, pos, scratch.v_new.data() + ti * kv);
-    });
-    for_each_row([&](std::size_t ti) {
-      const auto t = static_cast<std::int64_t>(ti);
-      attention_row(model, state, l, pos0 + t, row_f(scratch.q, t, d),
-                    row_f(scratch.att, t, d), row_f(scratch.scores, t, seq));
-    });
-
-    project(block.o_proj, scratch.att.data(), scratch.proj.data(), block_len);
-    for (std::int64_t t = 0; t < block_len; ++t) {
-      add_row(row_f(scratch.x, t, d), row_f(scratch.proj, t, d));
+    project(block.o_proj, scratch.att.data(), scratch.proj.data(), rows);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      add_row(row_f(scratch.x, r, d), row_f(scratch.proj, r, d));
     }
 
-    for (std::int64_t t = 0; t < block_len; ++t) {
-      rmsnorm_row(row_f(scratch.x, t, d), block.post_norm.value.values(),
-                  config.norm_eps, row_f(scratch.normed, t, d));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      rmsnorm_row(row_f(scratch.x, r, d), block.post_norm.value.values(),
+                  config.norm_eps, row_f(scratch.normed, r, d));
     }
     project(block.gate_proj, scratch.normed.data(), scratch.gate.data(),
-            block_len);
-    project(block.up_proj, scratch.normed.data(), scratch.up.data(), block_len);
-    for (std::int64_t t = 0; t < block_len; ++t) {
-      swiglu_row(row_f(scratch.gate, t, d_ff), row_f(scratch.up, t, d_ff));
+            rows);
+    project(block.up_proj, scratch.normed.data(), scratch.up.data(), rows);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      swiglu_row(row_f(scratch.gate, r, d_ff), row_f(scratch.up, r, d_ff));
     }
-    project(block.down_proj, scratch.gate.data(), scratch.proj.data(),
-            block_len);
-    for (std::int64_t t = 0; t < block_len; ++t) {
-      add_row(row_f(scratch.x, t, d), row_f(scratch.proj, t, d));
+    project(block.down_proj, scratch.gate.data(), scratch.proj.data(), rows);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      add_row(row_f(scratch.x, r, d), row_f(scratch.proj, r, d));
     }
   }
 
-  for (std::int64_t t = 0; t < block_len; ++t) {
-    rmsnorm_row(row_f(scratch.x, t, d), model.final_norm().value.values(),
-                config.norm_eps, row_f(scratch.normed, t, d));
+  for (std::int64_t r = 0; r < rows; ++r) {
+    rmsnorm_row(row_f(scratch.x, r, d), model.final_norm().value.values(),
+                config.norm_eps, row_f(scratch.normed, r, d));
   }
-  project(model.embed(), scratch.normed.data(), logits.data(), block_len);
-  state.position += block_len;
+  // The [vocab, d] tied LM head dominates per-token cost; above the kernel
+  // layer's work threshold its output rows fan across the pool.
+  project(model.embed(), scratch.normed.data(), logits.data(), rows);
+  for (const ForwardGroup& group : groups) {
+    group.state->position += static_cast<std::int64_t>(group.tokens.size());
+  }
 }
 
 }  // namespace chipalign

@@ -1,22 +1,24 @@
 #pragma once
 /// \file decode.hpp
-/// \brief Token-decode steps over SessionState: serial and batched.
+/// \brief The inference forward pass over (session, tokens) groups.
 ///
-/// decode_step() is the single-sequence step InferenceSession is built on:
-/// every projection is one kernels::project call at one row, and attention
-/// walks the session's own KV cache. batched_decode_step() is the serving
-/// engine's continuous-batching primitive: it coalesces the step of B
-/// independent sessions so each projection is ONE kernels::project call
-/// over the stacked activations ([B, d] against the shared weight matrix)
-/// instead of B separate ones — the weights stream through the cache once
-/// per step rather than once per session.
+/// forward() is the one transformer step every inference path runs:
+/// InferenceSession feeds it one token or a speculative verify block, and
+/// the serving engine feeds it one group per batched session each step. A
+/// group feeds T tokens to one session — token t lands at position + t —
+/// and the rows of all groups are stacked, so each projection is ONE
+/// kernels::project call over [rows, d] against the shared weight matrix:
+/// the weights stream through the cache once per step, however many
+/// sessions and draft tokens share it.
 ///
-/// Bitwise contract: row b of a batched step is bit-identical to a serial
-/// decode_step() of states[b]. Projections match because kernels::project
-/// gives every output the kernel layer's 8-lane fp64 reduction whatever
-/// the row count (kernels.hpp); everything else (RMSNorm, RoPE, attention,
-/// SwiGLU, residual adds) runs the same per-row helper code in both paths. The
-/// serving tests assert this equality at batch sizes 1/4/16.
+/// Bitwise contract: a row's logits depend only on its session's cache
+/// and its token, never on which rows share the call. Projections give
+/// every output the kernel layer's 8-lane fp64 reduction whatever the row
+/// count (kernels.hpp); RMSNorm, RoPE, attention, SwiGLU and the residual
+/// adds are per-row code. So a token fed alone, as row t of a verify
+/// block, or next to other sessions' groups gets the same bits — which is
+/// what lets the server batch sessions, and greedy speculative decoding
+/// accept drafts, without changing any output.
 
 #include <cstdint>
 #include <span>
@@ -29,8 +31,9 @@ namespace chipalign {
 
 class ThreadPool;
 
-/// Reusable scratch arena for decode steps over up to `max_batch` rows.
-/// Sized once; no decode step allocates. Buffers are row-major [B, dim].
+/// Reusable scratch arena for forward() over up to `max_batch` rows (all
+/// groups' tokens together). Sized once; forward() does not allocate.
+/// Buffers are row-major [B, dim].
 struct DecodeScratch {
   DecodeScratch(const ModelConfig& config, std::int64_t max_batch);
 
@@ -45,42 +48,33 @@ struct DecodeScratch {
   std::vector<float> k_new;   ///< fresh K rows [B, kv_dim]
   std::vector<float> v_new;   ///< fresh V rows [B, kv_dim]
   std::vector<float> scores;  ///< attention scores [B, max_seq_len]
+  std::vector<SessionState*> row_state;  ///< session each row feeds [B]
+  std::vector<std::int64_t> row_pos;     ///< position each row lands at [B]
 };
 
-/// Feeds one token to `state` and writes the next-token logits row
-/// (config.vocab_size floats) into `logits`. Advances state.position.
-void decode_step(const TransformerModel& model, SessionState& state,
-                 DecodeScratch& scratch, TokenId token,
-                 std::span<float> logits);
+/// T >= 1 tokens for one session; token t lands at state->position + t.
+struct ForwardGroup {
+  SessionState* state = nullptr;
+  std::span<const TokenId> tokens;
+};
 
-/// Feeds tokens[b] to states[b] for every b and writes logits row-major
-/// [B, vocab] into `logits`. One kernels::project per projection; the
-/// per-session attention fans across `pool` when given (sessions are
-/// independent, so any pool size produces identical bits). states must be
-/// distinct.
-void batched_decode_step(const TransformerModel& model,
-                         std::span<SessionState* const> states,
-                         std::span<const TokenId> tokens,
-                         DecodeScratch& scratch, std::span<float> logits,
-                         ThreadPool* pool = nullptr);
-
-/// Speculative-verify step: feeds the T = tokens.size() tokens to ONE
-/// session in a single pass — token t lands at position() + t — and writes
-/// logits row-major [T, vocab]. Like batched_decode_step it runs one
-/// kernels::project per projection over the stacked [T, d] activations (the
-/// weights stream through the cache once per block instead of once per
-/// token), but the batch axis is consecutive positions of one sequence, so
-/// attention is block-causal: all T K/V rows are RoPE'd and stored first,
-/// then row t attends positions 0..position()+t. Advances position by T.
+/// Feeds every group's tokens and writes one logits row per token,
+/// row-major [rows, vocab] in group order. Advances each state's position
+/// by its group's length.
 ///
-/// Bitwise contract: row t is bit-identical to the logits of the t-th of T
-/// serial decode_step() calls (same row-count-invariant projections and
-/// shared per-row helpers as the batched path), which is what lets greedy
-/// speculative decoding accept drafted tokens without changing output bits.
-/// T == 1 dispatches to decode_step(). Requires T <= scratch.max_batch and
-/// position() + T <= the session's capacity.
-void verify_step(const TransformerModel& model, SessionState& state,
-                 DecodeScratch& scratch, std::span<const TokenId> tokens,
-                 std::span<float> logits, ThreadPool* pool = nullptr);
+/// Per layer: RMSNorm over all rows, one kernels::project per weight
+/// matrix over the stacked rows, then two row waves — every row's RoPE and
+/// K/V store, then every row's attention (row t of a group reads the K/V
+/// its group stored for rows 0..t in the first wave). Attention rows are
+/// independent, so they fan across `pool` when given and any pool size
+/// gives identical bits.
+///
+/// Throws Error, before any state changes, when a state appears in two
+/// groups, a group is empty or overflows its session's capacity, the rows
+/// exceed scratch.max_batch, a token is out of vocab, a state's shape does
+/// not match the model, or `logits` is not [rows, vocab].
+void forward(const TransformerModel& model,
+             std::span<const ForwardGroup> groups, DecodeScratch& scratch,
+             std::span<float> logits, ThreadPool* pool = nullptr);
 
 }  // namespace chipalign

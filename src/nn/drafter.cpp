@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 
 namespace chipalign {
@@ -45,61 +44,6 @@ std::size_t PromptLookupDrafter::draft(std::span<const TokenId> context,
     }
   }
   return 0;
-}
-
-SelfSpeculativeDrafter::SelfSpeculativeDrafter(const TransformerModel& target)
-    : draft_model_(TransformerModel::from_checkpoint(target.to_checkpoint())),
-      state_(draft_model_.config(), draft_model_.config().max_seq_len),
-      scratch_(draft_model_.config(), /*max_batch=*/1) {
-  draft_model_.quantize_weights(DType::kI8);
-  logits_.resize(static_cast<std::size_t>(draft_model_.config().vocab_size));
-}
-
-void SelfSpeculativeDrafter::reset() {
-  state_.truncate(0);
-  fed_.clear();
-}
-
-std::size_t SelfSpeculativeDrafter::draft(std::span<const TokenId> context,
-                                          std::size_t max_tokens,
-                                          std::span<TokenId> out) {
-  CA_CHECK(out.size() >= max_tokens, "self-spec draft buffer too small");
-  CA_CHECK(!context.empty(), "self-spec draft on empty context");
-  const std::span<float> logits(logits_.data(), logits_.size());
-
-  // Rewind to the longest common prefix with what this session already
-  // consumed (the caller's context loses our rejected drafts), then feed
-  // only the delta. The KV rows past the prefix are dead after truncate().
-  std::size_t lcp = 0;
-  while (lcp < fed_.size() && lcp < context.size() &&
-         fed_[lcp] == context[lcp]) {
-    ++lcp;
-  }
-  // logits_ describes whatever was fed LAST, which after a rewind is not
-  // the final context token — always re-feed at least that one so the
-  // first argmax below continues the caller's context, not a stale draft.
-  if (lcp >= context.size()) lcp = context.size() - 1;
-  state_.truncate(static_cast<std::int64_t>(lcp));
-  fed_.resize(lcp);
-
-  for (std::size_t i = lcp; i < context.size(); ++i) {
-    if (state_.position >= state_.capacity) return 0;
-    decode_step(draft_model_, state_, scratch_, context[i], logits);
-    fed_.push_back(context[i]);
-  }
-
-  std::size_t drafted = 0;
-  while (drafted < max_tokens) {
-    const auto next = static_cast<TokenId>(
-        ops::argmax(std::span<const float>(logits_.data(), logits_.size())));
-    out[drafted++] = next;
-    // The last proposal's own logits are never needed; skip its feed so a
-    // draft call costs exactly `drafted` steps past the context delta.
-    if (drafted == max_tokens || state_.position >= state_.capacity) break;
-    decode_step(draft_model_, state_, scratch_, next, logits);
-    fed_.push_back(next);
-  }
-  return drafted;
 }
 
 }  // namespace chipalign

@@ -3,31 +3,25 @@
 /// \brief Draft-token proposers for speculative decoding.
 ///
 /// A Drafter guesses the next few tokens of a sequence so the target model
-/// can verify the whole guess in one multi-token verify_step() instead of
-/// one pass per token (nn/decode.hpp). Correctness never depends on the
+/// can verify the whole guess as one row group of a forward() pass instead
+/// of one pass per token (nn/decode.hpp). Correctness never depends on the
 /// drafter: greedy acceptance (nn/spec_decode.hpp) compares each drafted
 /// token against the target model's own argmax, so a bad drafter only costs
 /// speed. Drafters therefore don't have to be deterministic for output
-/// determinism — but both implementations here are, which keeps end-to-end
-/// runs bitwise reproducible in wall-clock too.
+/// determinism — but the one here is, which keeps end-to-end runs bitwise
+/// reproducible in wall-clock too.
 ///
 /// PromptLookupDrafter is the zero-cost default: chip-design QA answers
 /// copy long spans from the prompt (retrieved context, signal names, code),
 /// so matching the last n-gram of the generated suffix against the earlier
 /// context and proposing the tokens that followed it gets long accepted
-/// runs with no second model at all. SelfSpeculativeDrafter runs the target
-/// model's own int8-quantized weights as a cheap draft pass — a real draft
-/// model with guaranteed vocabulary/tokenizer agreement and ~4x smaller
-/// weight traffic.
+/// runs with no second model at all.
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <vector>
 
-#include "nn/decode.hpp"
-#include "nn/session_state.hpp"
-#include "nn/transformer.hpp"
+#include "text/tokenizer.hpp"
 
 namespace chipalign {
 
@@ -41,8 +35,6 @@ class Drafter {
   virtual std::size_t draft(std::span<const TokenId> context,
                             std::size_t max_tokens,
                             std::span<TokenId> out) = 0;
-  /// Forgets any per-sequence state; call between independent sequences.
-  virtual void reset() {}
 };
 
 /// Prompt-lookup (n-gram) drafting: find the most recent earlier occurrence
@@ -63,30 +55,6 @@ class PromptLookupDrafter : public Drafter {
  private:
   std::int64_t ngram_min_;
   std::int64_t ngram_max_;
-};
-
-/// Self-speculative drafting: greedy decode on an int8-quantized copy of
-/// the target model. Keeps its own KV session across calls and rewinds to
-/// the longest common prefix when the caller's context diverges from what
-/// was previously fed (rejected drafts), so each call costs one decode step
-/// per *new* context token plus one per proposed token.
-class SelfSpeculativeDrafter : public Drafter {
- public:
-  /// Builds the draft model by round-tripping the target's weights through
-  /// a checkpoint (dequantizing if the target is already quantized) and
-  /// quantizing the copy to int8.
-  explicit SelfSpeculativeDrafter(const TransformerModel& target);
-
-  std::size_t draft(std::span<const TokenId> context, std::size_t max_tokens,
-                    std::span<TokenId> out) override;
-  void reset() override;
-
- private:
-  TransformerModel draft_model_;
-  SessionState state_;
-  DecodeScratch scratch_;
-  std::vector<float> logits_;
-  std::vector<TokenId> fed_;  ///< tokens the draft session has consumed
 };
 
 }  // namespace chipalign

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/spec_decode.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 
@@ -12,9 +11,7 @@ namespace chipalign {
 InferenceSession::InferenceSession(const TransformerModel& model)
     : model_(model),
       state_(model.config(), model.config().max_seq_len),
-      scratch_(model.config(), /*max_batch=*/1) {
-  logits_.resize(static_cast<std::size_t>(model.config().vocab_size));
-}
+      scratch_(model.config(), /*max_batch=*/1) {}
 
 void InferenceSession::reset() { state_.position = 0; }
 
@@ -59,8 +56,7 @@ void InferenceSession::restore(const Snapshot& snap) {
 }
 
 const std::vector<float>& InferenceSession::step(TokenId token) {
-  decode_step(model_, state_, scratch_, token,
-              std::span<float>(logits_.data(), logits_.size()));
+  verify(std::span<const TokenId>(&token, 1));
   return logits_;
 }
 
@@ -68,19 +64,17 @@ std::span<const float> InferenceSession::verify(
     std::span<const TokenId> tokens) {
   const auto block_len = static_cast<std::int64_t>(tokens.size());
   CA_CHECK(block_len > 0, "verify on empty token block");
-  DecodeScratch* scratch = &scratch_;
-  if (block_len > 1) {
-    if (verify_scratch_ == nullptr || verify_scratch_->max_batch < block_len) {
-      verify_scratch_ =
-          std::make_unique<DecodeScratch>(model_.config(), block_len);
-    }
-    scratch = verify_scratch_.get();
+  if (block_len > scratch_.max_batch) {
+    scratch_ = DecodeScratch(model_.config(), block_len);
   }
-  verify_logits_.resize(static_cast<std::size_t>(
-      block_len * model_.config().vocab_size));
-  verify_step(model_, state_, *scratch, tokens,
-              std::span<float>(verify_logits_.data(), verify_logits_.size()));
-  return std::span<const float>(verify_logits_.data(), verify_logits_.size());
+  // Shrinking keeps the capacity, so only a wider block than any before
+  // allocates.
+  logits_.resize(
+      static_cast<std::size_t>(block_len * model_.config().vocab_size));
+  const ForwardGroup group{&state_, tokens};
+  forward(model_, std::span<const ForwardGroup>(&group, 1), scratch_,
+          std::span<float>(logits_.data(), logits_.size()));
+  return std::span<const float>(logits_.data(), logits_.size());
 }
 
 void InferenceSession::truncate(std::int64_t pos) { state_.truncate(pos); }
@@ -116,44 +110,15 @@ std::int64_t sample_from_probs(std::span<const float> probs, double u) {
   return last_nonzero;
 }
 
-std::string generate(const TransformerModel& model, std::string_view prompt,
-                     const GenerateOptions& options, bool stop_at_newline) {
-  if (options.speculative && options.temperature <= 0.0) {
-    return speculative_generate(model, prompt, options, stop_at_newline);
-  }
-  const CharTokenizer& tok = tokenizer();
-  std::vector<TokenId> prompt_tokens = tok.encode(prompt, /*add_bos=*/true);
-  const std::int64_t budget = model.config().max_seq_len -
-                              static_cast<std::int64_t>(prompt_tokens.size());
-  CA_CHECK(budget > 0, "prompt fills the whole context window");
-
-  InferenceSession session(model);
-  std::vector<float> logits = session.prefill(prompt_tokens);
-
-  Rng rng(options.seed);
-  const TokenId newline_id = tok.char_to_id('\n');
-  std::vector<TokenId> generated;
-  const std::int64_t max_new = std::min<std::int64_t>(options.max_new_tokens,
-                                                      budget);
-  for (std::int64_t i = 0; i < max_new; ++i) {
-    TokenId next;
-    if (options.temperature <= 0.0) {
-      next = static_cast<TokenId>(
-          ops::argmax(std::span<const float>(logits.data(), logits.size())));
-    } else {
-      std::vector<float> probs = logits;
-      const auto inv_temp = static_cast<float>(1.0 / options.temperature);
-      for (float& v : probs) v *= inv_temp;
-      ops::softmax_inplace(std::span<float>(probs.data(), probs.size()));
-      next = static_cast<TokenId>(sample_from_probs(
-          std::span<const float>(probs.data(), probs.size()), rng.uniform()));
-    }
-    if (next == CharTokenizer::kEos) break;
-    if (stop_at_newline && next == newline_id) break;
-    generated.push_back(next);
-    logits = session.step(next);
-  }
-  return tok.decode(generated);
+TokenId pick_token(std::span<const float> row, double temperature,
+                   Rng& rng) {
+  if (temperature <= 0.0) return static_cast<TokenId>(ops::argmax(row));
+  std::vector<float> probs(row.begin(), row.end());
+  const auto inv_temp = static_cast<float>(1.0 / temperature);
+  for (float& v : probs) v *= inv_temp;
+  ops::softmax_inplace(std::span<float>(probs.data(), probs.size()));
+  return static_cast<TokenId>(sample_from_probs(
+      std::span<const float>(probs.data(), probs.size()), rng.uniform()));
 }
 
 double continuation_logprob(InferenceSession& session,

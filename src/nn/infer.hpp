@@ -7,7 +7,7 @@
 /// single-sequence wrapper over the Model/session split used by the serving
 /// engine (src/serve): the immutable TransformerModel is shared, while all
 /// mutable state lives in a SessionState (session_state.hpp) and the decode
-/// math in decode_step() (decode.hpp). Every projection runs on the tensor
+/// math in forward() (decode.hpp). Every projection runs on the tensor
 /// kernel layer, so logits are bit-identical across backends and thread
 /// counts (see kernels.hpp for the reduction contract). The KV cache is
 /// lazily initialized: positions >= position() are never read, so neither
@@ -19,7 +19,6 @@
 /// evaluation setup.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -62,11 +61,11 @@ class InferenceSession {
   std::vector<float> prefill(const std::vector<TokenId>& tokens);
 
   /// Speculative verify: feeds all T = tokens.size() tokens in ONE
-  /// verify_step() pass and returns their logits rows, row-major
-  /// [T, vocab]. Row t is bit-identical to what the t-th of T serial
-  /// step() calls would return. Advances position() by T; rewind rejected
-  /// suffix rows with truncate(). The span aliases session-owned scratch
-  /// (overwritten by the next step/verify).
+  /// forward() pass and returns their logits rows, row-major [T, vocab].
+  /// Row t is bit-identical to what the t-th of T serial step() calls
+  /// would return. Advances position() by T; rewind rejected suffix rows
+  /// with truncate(). The span aliases session-owned scratch (overwritten
+  /// by the next step/verify).
   std::span<const float> verify(std::span<const TokenId> tokens);
 
   /// Rewinds to `pos` in [0, position()], discarding later tokens. O(1):
@@ -102,11 +101,8 @@ class InferenceSession {
  private:
   const TransformerModel& model_;
   SessionState state_;
-  DecodeScratch scratch_;      ///< batch-1 decode arena
-  std::vector<float> logits_;  ///< LM-head output [vocab]
-  /// Multi-token verify arena, grown on first verify() past one token.
-  std::unique_ptr<DecodeScratch> verify_scratch_;
-  std::vector<float> verify_logits_;  ///< [T, vocab] verify output
+  DecodeScratch scratch_;  ///< forward arena, grown for wider blocks
+  std::vector<float> logits_;  ///< LM-head output [T, vocab] of the last feed
 };
 
 /// Options for generate().
@@ -126,9 +122,10 @@ struct GenerateOptions {
 
 /// Generates a continuation of `prompt` (encoded with <bos>), stopping at
 /// <eos>, a '\n' if stop_at_newline, or the token budget. Returns decoded
-/// text without the prompt. With options.speculative and greedy sampling
-/// the byte-identical speculative path runs instead (spec_decode.hpp);
-/// temperature > 0 always takes the plain sampling loop.
+/// text without the prompt. Every mode runs the one decode loop in
+/// spec_decode.hpp; options.speculative adds prompt-lookup drafts when
+/// decoding is greedy (byte-identical output) and is ignored when
+/// temperature > 0.
 std::string generate(const TransformerModel& model, std::string_view prompt,
                      const GenerateOptions& options = {},
                      bool stop_at_newline = false);
@@ -138,8 +135,13 @@ std::string generate(const TransformerModel& model, std::string_view prompt,
 /// so floating-point rounding can never fall off the end of the
 /// distribution and silently select the last index regardless of its
 /// probability; a zero-probability index is never returned. Exposed for
-/// generate()'s temperature sampling and its tests.
+/// pick_token() and its tests.
 std::int64_t sample_from_probs(std::span<const float> probs, double u);
+
+/// The next token for a logits row: argmax when temperature <= 0, else a
+/// draw from softmax(row / temperature) that takes one rng.uniform().
+/// generate() and the serving engine both pick through here.
+TokenId pick_token(std::span<const float> row, double temperature, Rng& rng);
 
 /// Sum of log-probabilities of `continuation` tokens given `context`
 /// (teacher-forced). Both sequences are raw token ids; context must be

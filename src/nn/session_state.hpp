@@ -30,7 +30,7 @@
 namespace chipalign {
 
 /// Mutable per-session decode state. Plain data, movable, no model pointer:
-/// decode_step()/batched_decode_step() pair it with the shared model.
+/// forward() (decode.hpp) pairs it with the shared model.
 struct SessionState {
   /// \param capacity_tokens KV rows per layer; the session can consume at
   ///   most this many tokens. Must be in (0, config.max_seq_len].
@@ -52,7 +52,7 @@ struct SessionState {
     const auto bytes = static_cast<std::size_t>(n_layers * layer_stride) *
                        dtype_size(kv_dtype);
     // new[] without value-initialization: the cache starts dead and every
-    // position is written by a decode step before any read of it.
+    // position is written by a forward() before any read of it.
     k_cache.reset(new unsigned char[bytes]);
     v_cache.reset(new unsigned char[bytes]);
   }
@@ -117,7 +117,7 @@ struct SessionState {
   /// Rewinds the session to `pos`, discarding every later token (the KV
   /// rollback primitive speculative decoding uses to drop rejected draft
   /// rows). O(1): the cache is lazy, so rows at or past the position are
-  /// dead and a subsequent decode step simply overwrites them. `pos` must
+  /// dead and a subsequent forward() simply overwrites them. `pos` must
   /// be in [0, position].
   void truncate(std::int64_t pos) {
     CA_CHECK(pos >= 0 && pos <= position,

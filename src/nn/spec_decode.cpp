@@ -1,16 +1,27 @@
 #include "nn/spec_decode.hpp"
 
 #include <algorithm>
+#include <optional>
 
-#include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 
 namespace chipalign {
 
+namespace {
+
+/// True for the tokens that end a generation: <eos>, and '\n' when
+/// stop_at_newline.
+bool is_stop_token(TokenId token, bool stop_at_newline) {
+  return token == CharTokenizer::kEos ||
+         (stop_at_newline && token == tokenizer().char_to_id('\n'));
+}
+
+}  // namespace
+
 SpecWalkResult spec_accept_walk(std::span<const float> rows,
                                 std::int64_t vocab,
                                 std::span<const TokenId> drafts,
-                                const std::function<bool(TokenId)>& stop,
+                                const TokenPicker& pick, bool stop_at_newline,
                                 const std::function<bool(TokenId)>& emit) {
   const auto n_rows = static_cast<std::int64_t>(drafts.size()) + 1;
   CA_CHECK(static_cast<std::int64_t>(rows.size()) == n_rows * vocab,
@@ -21,8 +32,8 @@ SpecWalkResult spec_accept_walk(std::span<const float> rows,
     const std::span<const float> row(
         rows.data() + static_cast<std::size_t>(i * vocab),
         static_cast<std::size_t>(vocab));
-    const auto next = static_cast<TokenId>(ops::argmax(row));
-    if (stop(next)) {
+    const TokenId next = pick(row);
+    if (is_stop_token(next, stop_at_newline)) {
       result.stopped = true;
       break;
     }
@@ -30,91 +41,78 @@ SpecWalkResult spec_accept_walk(std::span<const float> rows,
         i < static_cast<std::int64_t>(drafts.size()) &&
         next == drafts[static_cast<std::size_t>(i)];
     if (matched) ++result.accepted;
-    const bool budget_left = emit(next);
+    const bool go_on = emit(next);
     ++result.emitted;
     result.last = next;
     // A mismatching row still emitted a valid token (all its context was
     // accepted), but the rows after it scored a rejected continuation.
-    if (!matched || !budget_left) break;
+    if (!matched || !go_on) break;
   }
   result.consumed = 1 + result.accepted;
   return result;
 }
 
-std::vector<TokenId> speculative_decode_tokens(
-    InferenceSession& session, std::span<const float> prefill_logits,
-    std::span<const TokenId> prompt, Drafter& drafter, std::int64_t draft_k,
-    std::int64_t max_new, bool stop_at_newline,
-    SpecDecodeStats* stats) {
+std::vector<TokenId> decode_tokens(InferenceSession& session,
+                                   std::span<const float> prefill_logits,
+                                   std::span<const TokenId> prompt,
+                                   const TokenPicker& pick, Drafter* drafter,
+                                   std::int64_t draft_k, std::int64_t max_new,
+                                   bool stop_at_newline,
+                                   SpecDecodeStats* stats) {
   CA_CHECK(draft_k >= 0, "negative draft_k " << draft_k);
-  const CharTokenizer& tok = tokenizer();
-  const TokenId newline_id = tok.char_to_id('\n');
-  const auto stop = [&](TokenId t) {
-    return t == CharTokenizer::kEos || (stop_at_newline && t == newline_id);
-  };
-
   std::vector<TokenId> out;
   if (max_new <= 0) return out;
-
-  // The first new token comes straight off the prefill row — exactly the
-  // first iteration of the plain greedy loop.
-  const auto first = static_cast<TokenId>(ops::argmax(prefill_logits));
-  if (stop(first)) return out;
-  out.push_back(first);
-
   std::vector<TokenId> context(prompt.begin(), prompt.end());
-  context.push_back(first);
-  std::vector<TokenId> draft_buf(static_cast<std::size_t>(draft_k));
-  std::vector<TokenId> block;
-  TokenId pending = first;  // emitted, not yet fed
+  const auto emit = [&](TokenId t) {
+    out.push_back(t);
+    context.push_back(t);
+    return static_cast<std::int64_t>(out.size()) < max_new;
+  };
 
-  while (static_cast<std::int64_t>(out.size()) < max_new) {
+  // The first new token comes straight off the prefill row: a group with
+  // no drafts and nothing to rewind.
+  SpecWalkResult walk = spec_accept_walk(prefill_logits, session.vocab_size(),
+                                         {}, pick, stop_at_newline, emit);
+  std::vector<TokenId> block(static_cast<std::size_t>(1 + draft_k));
+  while (!walk.stopped && static_cast<std::int64_t>(out.size()) < max_new) {
     const std::int64_t pos0 = session.position();
+    // One row is the pending feed; drafts fill whatever KV headroom remains
+    // (the final emitted token is never fed, hence the -1).
     const std::int64_t k =
         std::min<std::int64_t>(draft_k, session.capacity() - pos0 - 1);
+    block[0] = walk.last;
     std::size_t drafted = 0;
-    if (k > 0) {
-      drafted = drafter.draft(
+    if (drafter != nullptr && k > 0) {
+      drafted = drafter->draft(
           std::span<const TokenId>(context.data(), context.size()),
           static_cast<std::size_t>(k),
-          std::span<TokenId>(draft_buf.data(), draft_buf.size()));
+          std::span<TokenId>(block.data() + 1, block.size() - 1));
     }
-    block.clear();
-    block.push_back(pending);
-    block.insert(block.end(), draft_buf.begin(),
-                 draft_buf.begin() + static_cast<std::ptrdiff_t>(drafted));
-
     const std::span<const float> rows = session.verify(
-        std::span<const TokenId>(block.data(), block.size()));
-    const SpecWalkResult walk = spec_accept_walk(
+        std::span<const TokenId>(block.data(), 1 + drafted));
+    walk = spec_accept_walk(
         rows, session.vocab_size(),
-        std::span<const TokenId>(block.data() + 1, drafted), stop,
-        [&](TokenId t) {
-          out.push_back(t);
-          context.push_back(t);
-          return static_cast<std::int64_t>(out.size()) < max_new;
-        });
+        std::span<const TokenId>(block.data() + 1, drafted), pick,
+        stop_at_newline, emit);
     session.truncate(pos0 + walk.consumed);
-    if (stats != nullptr) {
+    if (stats != nullptr && drafter != nullptr) {
       ++stats->verify_passes;
       stats->drafted += static_cast<std::int64_t>(drafted);
       stats->accepted += walk.accepted;
       stats->emitted += walk.emitted;
     }
-    if (walk.stopped) break;
-    pending = walk.last;
   }
   return out;
 }
 
-std::string speculative_generate(const TransformerModel& model,
-                                 std::string_view prompt,
-                                 const GenerateOptions& options,
-                                 bool stop_at_newline, Drafter* drafter,
-                                 SpecDecodeStats* stats) {
-  CA_CHECK(options.temperature <= 0.0,
-           "speculative_generate is greedy-only (temperature "
-               << options.temperature << ")");
+namespace {
+
+/// generate()'s body, with the drafter already chosen (nullptr: none).
+std::string generate_with(const TransformerModel& model,
+                          std::string_view prompt,
+                          const GenerateOptions& options,
+                          bool stop_at_newline, Drafter* drafter,
+                          SpecDecodeStats* stats) {
   const CharTokenizer& tok = tokenizer();
   const std::vector<TokenId> prompt_tokens =
       tok.encode(prompt, /*add_bos=*/true);
@@ -125,16 +123,42 @@ std::string speculative_generate(const TransformerModel& model,
 
   InferenceSession session(model);
   const std::vector<float> logits = session.prefill(prompt_tokens);
-  const std::int64_t max_new =
-      std::min<std::int64_t>(options.max_new_tokens, budget);
-
-  PromptLookupDrafter fallback(options.ngram_min, options.ngram_max);
-  Drafter& active = drafter != nullptr ? *drafter : fallback;
-  const std::vector<TokenId> generated = speculative_decode_tokens(
+  Rng rng(options.seed);
+  const std::vector<TokenId> generated = decode_tokens(
       session, std::span<const float>(logits.data(), logits.size()),
       std::span<const TokenId>(prompt_tokens.data(), prompt_tokens.size()),
-      active, options.draft_k, max_new, stop_at_newline, stats);
+      [&](std::span<const float> row) {
+        return pick_token(row, options.temperature, rng);
+      },
+      drafter, drafter != nullptr ? options.draft_k : 0,
+      std::min<std::int64_t>(options.max_new_tokens, budget), stop_at_newline,
+      stats);
   return tok.decode(generated);
+}
+
+}  // namespace
+
+std::string generate(const TransformerModel& model, std::string_view prompt,
+                     const GenerateOptions& options, bool stop_at_newline) {
+  std::optional<PromptLookupDrafter> lookup;
+  if (options.speculative && options.temperature <= 0.0) {
+    lookup.emplace(options.ngram_min, options.ngram_max);
+  }
+  return generate_with(model, prompt, options, stop_at_newline,
+                       lookup ? &*lookup : nullptr, nullptr);
+}
+
+std::string speculative_generate(const TransformerModel& model,
+                                 std::string_view prompt,
+                                 const GenerateOptions& options,
+                                 bool stop_at_newline, Drafter* drafter,
+                                 SpecDecodeStats* stats) {
+  CA_CHECK(options.temperature <= 0.0,
+           "speculative_generate is greedy-only (temperature "
+               << options.temperature << ")");
+  PromptLookupDrafter lookup(options.ngram_min, options.ngram_max);
+  return generate_with(model, prompt, options, stop_at_newline,
+                       drafter != nullptr ? drafter : &lookup, stats);
 }
 
 }  // namespace chipalign

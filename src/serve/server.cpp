@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "nn/decode.hpp"
-#include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
@@ -44,10 +43,11 @@ struct Server::Session {
 
 namespace {
 std::int64_t scratch_rows(const ServeConfig& config) {
-  // The speculative verify block (pending + draft_k drafts) shares the
-  // batched-decode scratch arena, so size it for whichever is wider.
+  // Under speculation every batched session may feed its pending token
+  // plus draft_k drafts in the step's one forward().
   return config.speculative
-             ? std::max<std::int64_t>(config.max_batch, config.draft_k + 1)
+             ? config.max_batch * (1 + std::max<std::int64_t>(
+                                           config.draft_k, 0))
              : config.max_batch;
 }
 }  // namespace
@@ -73,14 +73,9 @@ Server::Server(const TransformerModel& model, ServeConfig config)
   CA_CHECK(config_.max_sessions > 0, "ServeConfig.max_sessions must be > 0");
   CA_CHECK(config_.draft_k >= 0,
            "ServeConfig.draft_k must be >= 0, got " << config_.draft_k);
-  logits_.resize(static_cast<std::size_t>(config_.max_batch *
+  feed_.resize(static_cast<std::size_t>(scratch_.max_batch));
+  logits_.resize(static_cast<std::size_t>(scratch_.max_batch *
                                           model_.config().vocab_size));
-  newline_id_ = tokenizer().char_to_id('\n');
-  if (config_.speculative) {
-    spec_logits_.resize(static_cast<std::size_t>(
-        (config_.draft_k + 1) * model_.config().vocab_size));
-    spec_block_.resize(static_cast<std::size_t>(config_.draft_k + 1));
-  }
   last_progress_ms_ = now_ms();
 }
 
@@ -314,20 +309,6 @@ void Server::admit_locked() {
   }
 }
 
-TokenId Server::sample_next(Session& session, std::span<const float> row) {
-  if (session.request.temperature <= 0.0) {
-    return static_cast<TokenId>(ops::argmax(row));
-  }
-  std::vector<float> probs(row.begin(), row.end());
-  const auto inv_temp =
-      static_cast<float>(1.0 / session.request.temperature);
-  for (float& v : probs) v *= inv_temp;
-  ops::softmax_inplace(std::span<float>(probs.data(), probs.size()));
-  return static_cast<TokenId>(sample_from_probs(
-      std::span<const float>(probs.data(), probs.size()),
-      session.state->rng.uniform()));
-}
-
 bool Server::emit_token(Session& session, TokenId token) {
   session.emitted.push_back(token);
   if (!session.request.on_token) return true;
@@ -343,70 +324,6 @@ bool Server::emit_token(Session& session, TokenId token) {
         std::string("streaming callback failed: ") + error.what();
     return false;
   }
-}
-
-bool Server::speculative_eligible(const Session& session) const {
-  // Greedy acceptance needs argmax decoding, and drafting needs the prompt
-  // fully consumed (prefill rows advance exactly one position per step).
-  return config_.speculative && session.request.temperature <= 0.0 &&
-         session.feed_index >= session.prompt_len();
-}
-
-bool Server::spec_advance(Session& session, SpecDecodeStats& pass_stats,
-                          ThreadPool* pool) {
-  const auto& config = model_.config();
-  SessionState& state = *session.state;
-  const std::int64_t pos0 = state.position;
-  // One row is the pending feed; drafts fill whatever KV headroom remains
-  // (the final emitted token is never fed, hence the -1).
-  const std::int64_t k = std::min<std::int64_t>(
-      config_.draft_k, session.capacity - pos0 - 1);
-  std::size_t drafted = 0;
-  if (k > 0) {
-    spec_context_.assign(session.request.prompt.begin(),
-                         session.request.prompt.end());
-    spec_context_.insert(spec_context_.end(), session.emitted.begin(),
-                         session.emitted.end());
-    drafted = drafter_.draft(
-        std::span<const TokenId>(spec_context_.data(), spec_context_.size()),
-        static_cast<std::size_t>(k),
-        std::span<TokenId>(spec_block_.data() + 1,
-                           static_cast<std::size_t>(config_.draft_k)));
-  }
-  spec_block_[0] = session.pending;
-  const std::size_t block_len = 1 + drafted;
-  const std::span<float> rows(
-      spec_logits_.data(),
-      block_len * static_cast<std::size_t>(config.vocab_size));
-  verify_step(model_, state, scratch_,
-              std::span<const TokenId>(spec_block_.data(), block_len), rows,
-              pool);
-
-  const SpecWalkResult walk = spec_accept_walk(
-      rows, config.vocab_size,
-      std::span<const TokenId>(spec_block_.data() + 1, drafted),
-      [&](TokenId t) {
-        return t == CharTokenizer::kEos ||
-               (session.request.stop_at_newline && t == newline_id_);
-      },
-      [&](TokenId t) {
-        if (!emit_token(session, t)) return false;  // callback failed
-        return static_cast<std::int64_t>(session.emitted.size()) <
-               session.max_new;
-      });
-  state.truncate(pos0 + walk.consumed);
-  ++pass_stats.verify_passes;
-  pass_stats.drafted += static_cast<std::int64_t>(drafted);
-  pass_stats.accepted += walk.accepted;
-  pass_stats.emitted += walk.emitted;
-
-  if (session.callback_failed) return true;
-  if (walk.stopped) return true;
-  if (static_cast<std::int64_t>(session.emitted.size()) >= session.max_new) {
-    return true;  // budget spent; the last token is never fed back
-  }
-  session.pending = walk.last;
-  return false;
 }
 
 void Server::finish_locked(std::unique_ptr<Session> session,
@@ -469,93 +386,114 @@ bool Server::step() {
     }
   }
   const auto width = static_cast<std::int64_t>(batch.size());
-  ThreadPool* pool =
-      config_.pool != nullptr ? config_.pool : &global_thread_pool();
+  const std::int64_t vocab = config.vocab_size;
 
-  // Partition: greedy sessions past prefill take one draft+verify pass
-  // each (advancing up to draft_k + 1 tokens); everyone else — prefilling
-  // rows and temperature-sampled sessions — advances one token through the
-  // shared batched step.
-  std::vector<std::size_t> plain_rows;
-  std::vector<std::size_t> spec_rows;
+  // One group per session, all in one forward(). A prefilling session
+  // feeds its next prompt token; a decoding one feeds its pending token,
+  // plus prompt-lookup drafts when it is greedy and speculation is on
+  // (greedy acceptance keeps its output byte-identical).
+  std::vector<ForwardGroup> groups(batch.size());
+  std::vector<bool> speculative(batch.size(), false);
+  std::size_t rows = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    (speculative_eligible(*batch[i]) ? spec_rows : plain_rows).push_back(i);
+    Session& session = *batch[i];
+    TokenId* feed = feed_.data() + rows;
+    std::size_t len = 1;
+    if (session.feed_index < session.prompt_len()) {
+      feed[0] = session.request.prompt[static_cast<std::size_t>(
+          session.feed_index)];
+    } else {
+      feed[0] = session.pending;
+      speculative[i] =
+          config_.speculative && session.request.temperature <= 0.0;
+      // Drafts fill whatever KV headroom remains (the final emitted token
+      // is never fed, hence the -1).
+      const std::int64_t k = std::min<std::int64_t>(
+          config_.draft_k, session.capacity - session.state->position - 1);
+      if (speculative[i] && k > 0) {
+        spec_context_.assign(session.request.prompt.begin(),
+                             session.request.prompt.end());
+        spec_context_.insert(spec_context_.end(), session.emitted.begin(),
+                             session.emitted.end());
+        len += drafter_.draft(
+            std::span<const TokenId>(spec_context_.data(),
+                                     spec_context_.size()),
+            static_cast<std::size_t>(k),
+            std::span<TokenId>(feed + 1,
+                               static_cast<std::size_t>(config_.draft_k)));
+      }
+    }
+    groups[i] = ForwardGroup{session.state.get(),
+                             std::span<const TokenId>(feed, len)};
+    rows += len;
   }
+  const std::span<float> logits(logits_.data(),
+                                rows * static_cast<std::size_t>(vocab));
+  forward(model_,
+          std::span<const ForwardGroup>(groups.data(), groups.size()),
+          scratch_, logits,
+          config_.pool != nullptr ? config_.pool : &global_thread_pool());
 
   std::vector<bool> done(batch.size(), false);
-  if (!plain_rows.empty()) {
-    std::vector<SessionState*> states;
-    std::vector<TokenId> tokens;
-    states.reserve(plain_rows.size());
-    tokens.reserve(plain_rows.size());
-    for (const std::size_t i : plain_rows) {
-      Session* session = batch[i];
-      states.push_back(session->state.get());
-      tokens.push_back(session->feed_index < session->prompt_len()
-                           ? session->request.prompt[static_cast<std::size_t>(
-                                 session->feed_index)]
-                           : session->pending);
-    }
-    const std::span<float> logits(
-        logits_.data(),
-        plain_rows.size() * static_cast<std::size_t>(config.vocab_size));
-    batched_decode_step(
-        model_, std::span<SessionState* const>(states.data(), states.size()),
-        std::span<const TokenId>(tokens.data(), tokens.size()), scratch_,
-        logits, pool);
-
-    for (std::size_t r = 0; r < plain_rows.size(); ++r) {
-      const std::size_t i = plain_rows[r];
-      Session& session = *batch[i];
-      if (session.feed_index < session.prompt_len()) {
-        ++session.feed_index;
-        if (session.feed_index < session.prompt_len()) {
-          continue;  // still prefilling; this row's logits are discarded
-        }
-        // Prompt fully consumed: publish its KV for future prefix sharing.
-        // Only ever sees accepted tokens — drafts are never fed before the
-        // prompt completes, and the cache is not touched afterwards.
-        if (config_.prefix_cache_bytes > 0 && !session.inserted) {
-          cache_.insert(
-              std::span<const TokenId>(session.request.prompt.data(),
-                                       session.request.prompt.size()),
-              *session.state);
-          session.inserted = true;
-        }
-      }
-      const std::span<const float> row(
-          logits.data() + r * static_cast<std::size_t>(config.vocab_size),
-          static_cast<std::size_t>(config.vocab_size));
-      const TokenId next = sample_next(session, row);
-      if (next == CharTokenizer::kEos ||
-          (session.request.stop_at_newline && next == newline_id_)) {
-        done[i] = true;
-        continue;
-      }
-      if (!emit_token(session, next)) {
-        done[i] = true;  // callback failed; terminalizes as kCancelled
-        continue;
-      }
-      if (static_cast<std::int64_t>(session.emitted.size()) >=
-          session.max_new) {
-        done[i] = true;  // budget spent; the last token is never fed back
-        continue;
-      }
-      session.pending = next;
-    }
-  }
-
   SpecDecodeStats pass_stats;
-  for (const std::size_t i : spec_rows) {
-    done[i] = spec_advance(*batch[i], pass_stats, pool);
+  std::int64_t kept_rows = 0;
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Session& session = *batch[i];
+    const std::span<const TokenId> fed = groups[i].tokens;
+    const std::span<const float> group_logits = logits.subspan(
+        row * static_cast<std::size_t>(vocab),
+        fed.size() * static_cast<std::size_t>(vocab));
+    row += fed.size();
+    if (session.feed_index < session.prompt_len()) {
+      if (++session.feed_index < session.prompt_len()) {
+        ++kept_rows;
+        continue;  // still prefilling; this row's logits are discarded
+      }
+      // Prompt fully consumed: publish its KV for future prefix sharing.
+      // Only ever sees accepted tokens — drafts are never fed before the
+      // prompt completes, and the cache is not touched afterwards.
+      if (config_.prefix_cache_bytes > 0 && !session.inserted) {
+        cache_.insert(
+            std::span<const TokenId>(session.request.prompt.data(),
+                                     session.request.prompt.size()),
+            *session.state);
+        session.inserted = true;
+      }
+    }
+    SessionState& state = *session.state;
+    const std::int64_t pos0 =
+        state.position - static_cast<std::int64_t>(fed.size());
+    const SpecWalkResult walk = spec_accept_walk(
+        group_logits, vocab, fed.subspan(1),
+        [&](std::span<const float> r) {
+          return pick_token(r, session.request.temperature, state.rng);
+        },
+        session.request.stop_at_newline,
+        [&](TokenId t) {
+          if (!emit_token(session, t)) return false;  // callback failed
+          return static_cast<std::int64_t>(session.emitted.size()) <
+                 session.max_new;
+        });
+    state.truncate(pos0 + walk.consumed);
+    kept_rows += walk.consumed;
+    if (speculative[i]) {
+      ++pass_stats.verify_passes;
+      pass_stats.drafted += static_cast<std::int64_t>(fed.size()) - 1;
+      pass_stats.accepted += walk.accepted;
+      pass_stats.emitted += walk.emitted;
+    }
+    // Budget spent ends the session too: the last token is never fed back.
+    // A failed streaming callback terminalizes as kCancelled below.
+    done[i] = walk.stopped || session.callback_failed ||
+              static_cast<std::int64_t>(session.emitted.size()) >=
+                  session.max_new;
+    if (!done[i]) session.pending = walk.last;
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.steps;
-  // Plain rows advance one position each; a speculative pass keeps one row
-  // per verify plus every accepted draft row.
-  stats_.step_tokens += static_cast<std::int64_t>(plain_rows.size()) +
-                        pass_stats.verify_passes + pass_stats.accepted;
+  stats_.step_tokens += kept_rows;
   stats_.spec.merge(pass_stats);
   stats_.peak_batch = std::max(stats_.peak_batch, width);
   // Round-robin: surviving batch members rotate to the back so sessions

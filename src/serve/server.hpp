@@ -5,10 +5,11 @@
 /// One immutable TransformerModel, many concurrent sessions. Clients
 /// submit() Requests (thread-safe) and get back an opaque SessionId; a
 /// driver thread calls run() (or step() in a loop), which advances EVERY
-/// runnable session by one token per iteration in a single
-/// batched_decode_step — each weight matrix streams through the cache once
-/// per step instead of once per session, which is where batched serving
-/// throughput comes from.
+/// runnable session per iteration in a single forward() (nn/decode.hpp),
+/// one row group per session — each weight matrix streams through the
+/// cache once per step instead of once per session, which is where batched
+/// serving throughput comes from. A group is one token, or under
+/// speculative decoding a greedy session's pending token plus its drafts.
 ///
 /// Continuous batching: sessions join and leave the batch at token
 /// granularity. A freshly admitted session spends its first steps feeding
@@ -35,9 +36,10 @@
 /// are the only requests that do not deliver a result; an accepted request
 /// always terminalizes, even across drain.
 ///
-/// Sampling, stop conditions and token budgets replicate generate()
-/// exactly, and batched_decode_step is bit-identical to the serial decode
-/// path, so a session's output token sequence is bitwise equal to what
+/// Every row group's tokens are emitted by the same walk generate() uses
+/// (spec_accept_walk: pick, stop, emit, budget), and forward() gives a
+/// row the same bits whoever shares the step, so a session's output token
+/// sequence is bitwise equal to what
 /// generate() would produce for its prompt — independent of batch-mates,
 /// batch width, admission order, or prefix-cache hits. The serving tests
 /// pin this, and the serve-path chaos soak re-pins it with the `serve.*`
@@ -123,16 +125,17 @@ struct ServeConfig {
   /// a given max_kv_bytes — at a small accuracy cost (rows round to
   /// nearest-even on store). Outputs stay bitwise deterministic either way.
   DType kv_dtype = DType::kF32;
-  /// Pool for fanning per-session attention inside a batched step; nullptr
+  /// Pool for fanning per-row attention inside a step's forward(); nullptr
   /// uses the global pool. Purely a throughput knob (bits never change).
   ThreadPool* pool = nullptr;
 
   // Speculative decoding (nn/spec_decode.hpp). When enabled, greedy
-  // sessions past prefill advance up to draft_k + 1 tokens per step via
-  // prompt-lookup drafting + one multi-token verify_step; acceptance is
-  // greedy, so emitted tokens stay byte-identical to non-speculative
-  // decoding (a pure throughput knob). Prefilling and temperature-sampled
-  // sessions keep the plain batched path.
+  // sessions past prefill advance up to draft_k + 1 tokens per step: their
+  // row group in the step's forward() is the pending token plus
+  // prompt-lookup drafts. Acceptance is greedy, so emitted tokens stay
+  // byte-identical to non-speculative decoding (a pure throughput knob).
+  // Prefilling and temperature-sampled sessions feed one token per step.
+  // The step's scratch holds max_batch * (1 + draft_k) rows.
   bool speculative = false;    ///< enable draft+verify for greedy sessions
   std::int64_t draft_k = 4;    ///< draft tokens proposed per verify pass
   std::int64_t ngram_min = 1;  ///< prompt-lookup shortest suffix n-gram
@@ -191,7 +194,7 @@ struct ServerStats {
   std::int64_t rejected_unservable = 0;  ///< submit() UnservableError throws
   std::int64_t rejected_shutdown = 0;    ///< submit() ShuttingDownError
   std::int64_t steps = 0;          ///< batched decode steps executed
-  std::int64_t step_tokens = 0;    ///< tokens advanced across all steps
+  std::int64_t step_tokens = 0;    ///< KV rows kept across all steps
   std::int64_t peak_batch = 0;     ///< widest batch seen
   std::int64_t peak_resident = 0;  ///< most concurrently resident sessions
   std::int64_t step_faults = 0;    ///< serve.step injections absorbed
@@ -315,31 +318,21 @@ class Server {
   bool queue_expired_locked(const Session& session, std::int64_t now) const;
   bool lifetime_expired_locked(const Session& session,
                                std::int64_t now) const;
-  TokenId sample_next(Session& session, std::span<const float> row);
   /// Emits one token: records it and fires the streaming callback behind
   /// the serve.callback failpoint. Returns false when the callback threw —
   /// the session must then terminalize as kCancelled.
   bool emit_token(Session& session, TokenId token);
   void finish_locked(std::unique_ptr<Session> session, SessionStatus status);
   void touch_progress_locked();
-  /// True when `session` should advance via draft+verify this step.
-  bool speculative_eligible(const Session& session) const;
-  /// One speculative pass for `session`: draft, verify_step, acceptance
-  /// walk, KV truncate. Returns true when the session finished (including
-  /// a failed streaming callback — check session.callback_failed).
-  bool spec_advance(Session& session, SpecDecodeStats& pass_stats,
-                    ThreadPool* pool);
 
   const TransformerModel& model_;
   ServeConfig config_;
   RadixKvCache cache_;
-  DecodeScratch scratch_;
-  std::vector<float> logits_;  ///< [max_batch, vocab]
-  TokenId newline_id_ = -1;
-  PromptLookupDrafter drafter_;     ///< shared, stateless (driver thread)
-  std::vector<float> spec_logits_;  ///< [draft_k + 1, vocab]
+  DecodeScratch scratch_;       ///< one step's rows (scratch_rows())
+  std::vector<TokenId> feed_;   ///< tokens fed this step [rows]
+  std::vector<float> logits_;   ///< [rows, vocab]
+  PromptLookupDrafter drafter_;  ///< shared, stateless (driver thread)
   std::vector<TokenId> spec_context_;  ///< prompt + emitted scratch
-  std::vector<TokenId> spec_block_;    ///< pending + drafts scratch
 
   mutable std::mutex mutex_;
   std::condition_variable finished_cv_;

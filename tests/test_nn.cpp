@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "nn/decode.hpp"
 #include "nn/infer.hpp"
 #include "nn/rotary.hpp"
 #include "nn/transformer.hpp"
@@ -188,6 +189,44 @@ TEST(Inference, KvCacheMatchesFullForward) {
                   full_logits.at2(static_cast<std::int64_t>(t), v), 2e-4)
           << "pos " << t << " vocab " << v;
     }
+  }
+
+  // Two sessions in multi-row groups of one forward() call, twice: every
+  // row must match its own sequence's full-forward row.
+  const std::vector<TokenId> other = {3, 8, 5, 10};
+  const Tensor other_logits = model.forward(other);
+  model.discard_forward();
+  const auto& config = model.config();
+  SessionState a(config, config.max_seq_len);
+  SessionState b(config, config.max_seq_len);
+  DecodeScratch scratch(config, 5);
+  std::vector<float> rows(static_cast<std::size_t>(5 * config.vocab_size));
+  const std::size_t splits[][2] = {{3, 2}, {2, 2}};  // a rows, b rows
+  std::size_t fed_a = 0;
+  std::size_t fed_b = 0;
+  for (const auto& split : splits) {
+    const ForwardGroup groups[] = {
+        {&a, std::span<const TokenId>(tokens.data() + fed_a, split[0])},
+        {&b, std::span<const TokenId>(other.data() + fed_b, split[1])},
+    };
+    const std::size_t n = split[0] + split[1];
+    forward(model, groups, scratch,
+            std::span<float>(rows.data(), n * static_cast<std::size_t>(
+                                                  config.vocab_size)));
+    for (std::size_t r = 0; r < n; ++r) {
+      const bool in_a = r < split[0];
+      const Tensor& full = in_a ? full_logits : other_logits;
+      const auto pos =
+          static_cast<std::int64_t>(in_a ? fed_a + r : fed_b + r - split[0]);
+      for (std::int64_t v = 0; v < config.vocab_size; ++v) {
+        EXPECT_NEAR(rows[r * static_cast<std::size_t>(config.vocab_size) +
+                         static_cast<std::size_t>(v)],
+                    full.at2(pos, v), 2e-4)
+            << (in_a ? "a" : "b") << " pos " << pos << " vocab " << v;
+      }
+    }
+    fed_a += split[0];
+    fed_b += split[1];
   }
 }
 

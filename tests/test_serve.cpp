@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "nn/decode.hpp"
+#include "forward_helpers.hpp"
 #include "nn/infer.hpp"
 #include "serve/radix_cache.hpp"
 #include "serve/server.hpp"
@@ -83,16 +83,16 @@ std::vector<std::vector<float>> serial_logits(
   std::vector<float> logits(static_cast<std::size_t>(config.vocab_size));
   std::vector<std::vector<float>> rows;
   for (const TokenId token : tokens) {
-    decode_step(model, state, scratch, token,
-                std::span<float>(logits.data(), logits.size()));
+    forward_token(model, state, scratch, token,
+                  std::span<float>(logits.data(), logits.size()));
     rows.push_back(logits);
   }
   return rows;
 }
 
-/// Runs `width` sessions through batched_decode_step for every step of
-/// their token sequences and checks each logits row bitwise against the
-/// serial reference.
+/// Runs `width` sessions through one forward() per step, one token each,
+/// over their token sequences and checks each logits row bitwise against
+/// the serial reference.
 void check_batched_matches_serial(std::int64_t width, ThreadPool* pool) {
   Rng rng(33);
   const TransformerModel model(serve_config(), rng);
@@ -122,7 +122,7 @@ void check_batched_matches_serial(std::int64_t width, ThreadPool* pool) {
     for (std::int64_t b = 0; b < width; ++b) {
       tokens.push_back(sequences[static_cast<std::size_t>(b)][t]);
     }
-    batched_decode_step(
+    forward_batch(
         model,
         std::span<SessionState* const>(state_ptrs.data(), state_ptrs.size()),
         std::span<const TokenId>(tokens.data(), tokens.size()), scratch,
@@ -180,8 +180,8 @@ TEST(BatchedDecode, MixedPositionsMatchSerial) {
   DecodeScratch scratch(config, 2);
   std::vector<float> logits(static_cast<std::size_t>(config.vocab_size));
   for (const TokenId token : head) {
-    decode_step(model, state_a, scratch, token,
-                std::span<float>(logits.data(), logits.size()));
+    forward_token(model, state_a, scratch, token,
+                  std::span<float>(logits.data(), logits.size()));
   }
   ASSERT_EQ(state_a.position, 6);
 
@@ -190,9 +190,9 @@ TEST(BatchedDecode, MixedPositionsMatchSerial) {
   SessionState* states[] = {&state_a, &state_b};
   for (std::size_t t = 0; t < tail.size(); ++t) {
     const TokenId tokens[] = {tail[t], fresh[t]};
-    batched_decode_step(model, states, tokens, scratch,
-                        std::span<float>(batch_logits.data(),
-                                         batch_logits.size()));
+    forward_batch(model, states, tokens, scratch,
+                  std::span<float>(batch_logits.data(),
+                                   batch_logits.size()));
     const std::span<const float> row_a(
         batch_logits.data(), static_cast<std::size_t>(config.vocab_size));
     const std::span<const float> row_b(
@@ -214,8 +214,8 @@ void prefill_state(const TransformerModel& model, SessionState& state,
   std::vector<float> logits(
       static_cast<std::size_t>(model.config().vocab_size));
   for (const TokenId token : tokens) {
-    decode_step(model, state, scratch, token,
-                std::span<float>(logits.data(), logits.size()));
+    forward_token(model, state, scratch, token,
+                  std::span<float>(logits.data(), logits.size()));
   }
 }
 
@@ -283,8 +283,8 @@ TEST(RadixCache, PartialHitContinuesBitIdentically) {
       static_cast<std::size_t>(config.vocab_size));
   for (std::size_t i = static_cast<std::size_t>(ref.matched());
        i < second.size(); ++i) {
-    decode_step(model, warm, scratch, second[i],
-                std::span<float>(warm_logits.data(), warm_logits.size()));
+    forward_token(model, warm, scratch, second[i],
+                  std::span<float>(warm_logits.data(), warm_logits.size()));
   }
   const auto expected = serial_logits(model, second).back();
   EXPECT_TRUE(rows_equal(

@@ -1,8 +1,9 @@
 // Tests for speculative decoding (src/nn/drafter.*, src/nn/spec_decode.*,
-// the multi-token verify_step in src/nn/decode.*) and the KV rollback
-// primitive SessionState::truncate(). The load-bearing claims: verify_step
-// rows are bitwise identical to serial decode_step logits (so greedy
-// acceptance can never change output bits), truncate-then-redecode equals
+// multi-token forward() blocks in src/nn/decode.*) and the KV rollback
+// primitive SessionState::truncate(). The load-bearing claims: the rows of
+// a forward() block are bitwise identical to feeding its tokens one at a
+// time (so greedy acceptance can never change output bits),
+// truncate-then-redecode equals
 // never-having-decoded, and speculative greedy output — standalone and
 // served, any drafter, any draft_k, fp32 or int8 weights, prefix cache on
 // or off — is byte-identical to plain greedy generate().
@@ -15,9 +16,10 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "nn/decode.hpp"
+#include "forward_helpers.hpp"
 #include "nn/drafter.hpp"
 #include "nn/infer.hpp"
 #include "nn/spec_decode.hpp"
@@ -75,8 +77,8 @@ bool rows_equal(std::span<const float> a, std::span<const float> b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// Serial reference: decode `tokens` one decode_step at a time, returning
-/// every logits row.
+/// Serial reference: decode `tokens` one forward() token at a time,
+/// returning every logits row.
 std::vector<std::vector<float>> serial_rows(const TransformerModel& model,
                                             const std::vector<TokenId>& tokens,
                                             DType kv_dtype = DType::kF32) {
@@ -86,15 +88,15 @@ std::vector<std::vector<float>> serial_rows(const TransformerModel& model,
   std::vector<float> logits(static_cast<std::size_t>(config.vocab_size));
   std::vector<std::vector<float>> rows;
   for (const TokenId token : tokens) {
-    decode_step(model, state, scratch, token,
-                std::span<float>(logits.data(), logits.size()));
+    forward_token(model, state, scratch, token,
+                  std::span<float>(logits.data(), logits.size()));
     rows.push_back(logits);
   }
   return rows;
 }
 
 /// Checks a prefix+block decode against the serial reference: the prefix is
-/// fed serially, the block through ONE verify_step, and every block row
+/// fed serially, the block through ONE forward() group, and every block row
 /// must memcmp-equal its serial counterpart.
 void check_verify_block(const TransformerModel& model,
                         const std::vector<TokenId>& prefix,
@@ -109,18 +111,18 @@ void check_verify_block(const TransformerModel& model,
   DecodeScratch serial_scratch(config, 1);
   std::vector<float> row(static_cast<std::size_t>(config.vocab_size));
   for (const TokenId token : prefix) {
-    decode_step(model, state, serial_scratch, token,
-                std::span<float>(row.data(), row.size()));
+    forward_token(model, state, serial_scratch, token,
+                  std::span<float>(row.data(), row.size()));
   }
   DecodeScratch block_scratch(
       config, static_cast<std::int64_t>(block_tokens.size()));
   std::vector<float> block_logits(block_tokens.size() *
                                   static_cast<std::size_t>(config.vocab_size));
-  verify_step(model, state, block_scratch,
-              std::span<const TokenId>(block_tokens.data(),
-                                       block_tokens.size()),
-              std::span<float>(block_logits.data(), block_logits.size()),
-              pool);
+  forward_block(model, state, block_scratch,
+                std::span<const TokenId>(block_tokens.data(),
+                                         block_tokens.size()),
+                std::span<float>(block_logits.data(), block_logits.size()),
+                pool);
   EXPECT_EQ(state.position, static_cast<std::int64_t>(all.size()));
   for (std::size_t t = 0; t < block_tokens.size(); ++t) {
     const std::span<const float> got(
@@ -144,11 +146,11 @@ TEST(SpecDecode, VerifyStepOneTokenMemcmpEqualsDecodeStep) {
   std::vector<float> la(static_cast<std::size_t>(config.vocab_size));
   std::vector<float> lb(static_cast<std::size_t>(config.vocab_size));
   for (const TokenId token : tokens) {
-    decode_step(model, a, scratch_a, token,
-                std::span<float>(la.data(), la.size()));
+    forward_token(model, a, scratch_a, token,
+                  std::span<float>(la.data(), la.size()));
     const TokenId block[1] = {token};
-    verify_step(model, b, scratch_b, std::span<const TokenId>(block, 1),
-                std::span<float>(lb.data(), lb.size()));
+    forward_block(model, b, scratch_b, std::span<const TokenId>(block, 1),
+                  std::span<float>(lb.data(), lb.size()));
     ASSERT_EQ(0, std::memcmp(la.data(), lb.data(),
                              la.size() * sizeof(float)));
     ASSERT_EQ(a.position, b.position);
@@ -204,9 +206,9 @@ TEST(SpecDecode, VerifyStepRejectsOverflowingBlock) {
   std::vector<float> logits(block.size() *
                             static_cast<std::size_t>(config.vocab_size));
   EXPECT_THROW(
-      verify_step(model, state, scratch,
-                  std::span<const TokenId>(block.data(), block.size()),
-                  std::span<float>(logits.data(), logits.size())),
+      forward_block(model, state, scratch,
+                    std::span<const TokenId>(block.data(), block.size()),
+                    std::span<float>(logits.data(), logits.size())),
       Error);
 }
 
@@ -256,36 +258,6 @@ TEST(SpecDecode, PromptLookupNoMatchReturnsZero) {
                           4, std::span<TokenId>(out.data(), out.size())));
 }
 
-TEST(SpecDecode, SelfSpecDrafterIsDeterministicAndRewinds) {
-  Rng rng(21);
-  const TransformerModel model(spec_config(), rng);
-  const auto& config = model.config();
-  SelfSpeculativeDrafter drafter(model);
-
-  const auto context = ramp_tokens(8, config.vocab_size, 3);
-  std::vector<TokenId> first(4);
-  std::vector<TokenId> again(4);
-  const std::size_t n1 = drafter.draft(
-      std::span<const TokenId>(context.data(), context.size()), 4,
-      std::span<TokenId>(first.data(), first.size()));
-
-  // Diverge: the caller rejected our drafts and continued differently. The
-  // drafter must rewind to the common prefix and still answer; a fresh
-  // drafter fed the same context must agree exactly (determinism).
-  auto diverged = context;
-  diverged.push_back(static_cast<TokenId>(2));
-  std::vector<TokenId> scratch_out(4);
-  drafter.draft(std::span<const TokenId>(diverged.data(), diverged.size()),
-                4, std::span<TokenId>(scratch_out.data(),
-                                      scratch_out.size()));
-
-  const std::size_t n2 = drafter.draft(
-      std::span<const TokenId>(context.data(), context.size()), 4,
-      std::span<TokenId>(again.data(), again.size()));
-  EXPECT_EQ(n1, n2);
-  for (std::size_t i = 0; i < n1; ++i) EXPECT_EQ(first[i], again[i]);
-}
-
 /// Drafter that proposes deterministic garbage — every draft should be
 /// rejected, and the output must STILL match plain greedy decode exactly.
 class GarbageDrafter : public Drafter {
@@ -328,7 +300,28 @@ TEST(SpecDecode, SpeculativeGenerateMatchesPlainGreedyAcrossDraftK) {
   }
 }
 
-TEST(SpecDecode, SpeculativeGenerateMatchesWithSelfSpecDrafter) {
+/// Drafter that knows the answer: it replays a known greedy token stream
+/// past the caller's context, so every draft should be accepted — the
+/// all-accepted end of the acceptance walk.
+class OracleDrafter : public Drafter {
+ public:
+  explicit OracleDrafter(std::vector<TokenId> stream)
+      : stream_(std::move(stream)) {}
+  std::size_t draft(std::span<const TokenId> context, std::size_t max_tokens,
+                    std::span<TokenId> out) override {
+    std::size_t n = 0;
+    for (std::size_t i = context.size();
+         n < max_tokens && i < stream_.size(); ++i) {
+      out[n++] = stream_[i];
+    }
+    return n;
+  }
+
+ private:
+  std::vector<TokenId> stream_;
+};
+
+TEST(SpecDecode, SpeculativeGenerateMatchesWithOracleDrafter) {
   Rng rng(32);
   const TransformerModel model(spec_text_config(), rng);
   GenerateOptions plain;
@@ -339,12 +332,17 @@ TEST(SpecDecode, SpeculativeGenerateMatchesWithSelfSpecDrafter) {
   GenerateOptions spec = plain;
   spec.speculative = true;
   spec.draft_k = 4;
-  SelfSpeculativeDrafter drafter(model);
+  std::vector<TokenId> stream = tokenizer().encode(prompt, /*add_bos=*/true);
+  const std::vector<TokenId> answer = tokenizer().encode(expected);
+  stream.insert(stream.end(), answer.begin(), answer.end());
+  OracleDrafter drafter(stream);
   SpecDecodeStats stats;
   EXPECT_EQ(speculative_generate(model, prompt, spec, false, &drafter,
                                  &stats),
             expected);
   EXPECT_GT(stats.verify_passes, 0);
+  EXPECT_GT(stats.drafted, 0);
+  EXPECT_EQ(stats.accepted, stats.drafted);
 }
 
 TEST(SpecDecode, SpeculativeGenerateMatchesWithGarbageDrafter) {
@@ -484,13 +482,13 @@ TEST(KvTruncate, TruncateThenRedecodeBitwiseEqualsStraightDecode) {
   DecodeScratch scratch(config, 1);
   std::vector<float> row(static_cast<std::size_t>(config.vocab_size));
   for (const TokenId token : base) {
-    decode_step(model, state, scratch, token,
-                std::span<float>(row.data(), row.size()));
+    forward_token(model, state, scratch, token,
+                  std::span<float>(row.data(), row.size()));
   }
   state.truncate(3);  // drop base[3..6) as a rejected speculation would
   for (std::size_t i = 0; i < retry.size(); ++i) {
-    decode_step(model, state, scratch, retry[i],
-                std::span<float>(row.data(), row.size()));
+    forward_token(model, state, scratch, retry[i],
+                  std::span<float>(row.data(), row.size()));
     EXPECT_TRUE(rows_equal(std::span<const float>(row.data(), row.size()),
                            expected[3 + i]))
         << "redecode step " << i;
@@ -505,8 +503,8 @@ TEST(KvTruncate, TruncateValidatesRange) {
   DecodeScratch scratch(config, 1);
   std::vector<float> row(static_cast<std::size_t>(config.vocab_size));
   for (const TokenId token : ramp_tokens(3, config.vocab_size, 5)) {
-    decode_step(model, state, scratch, token,
-                std::span<float>(row.data(), row.size()));
+    forward_token(model, state, scratch, token,
+                  std::span<float>(row.data(), row.size()));
   }
   EXPECT_THROW(state.truncate(-1), Error);
   EXPECT_THROW(state.truncate(4), Error);
@@ -561,13 +559,13 @@ TEST(KvTruncate, TruncateF16KvRedecodeIsBitwise) {
   DecodeScratch scratch(config, 1);
   std::vector<float> row(static_cast<std::size_t>(config.vocab_size));
   for (const TokenId token : base) {
-    decode_step(model, state, scratch, token,
-                std::span<float>(row.data(), row.size()));
+    forward_token(model, state, scratch, token,
+                  std::span<float>(row.data(), row.size()));
   }
   state.truncate(2);
   for (std::size_t i = 0; i < retry.size(); ++i) {
-    decode_step(model, state, scratch, retry[i],
-                std::span<float>(row.data(), row.size()));
+    forward_token(model, state, scratch, retry[i],
+                  std::span<float>(row.data(), row.size()));
     EXPECT_TRUE(rows_equal(std::span<const float>(row.data(), row.size()),
                            expected[2 + i]))
         << "f16 redecode step " << i;
@@ -585,8 +583,8 @@ TEST(KvTruncate, TruncateDoesNotDisturbRadixCacheEntries) {
   DecodeScratch scratch(config, 1);
   std::vector<float> row(static_cast<std::size_t>(config.vocab_size));
   for (const TokenId token : prompt) {
-    decode_step(model, writer, scratch, token,
-                std::span<float>(row.data(), row.size()));
+    forward_token(model, writer, scratch, token,
+                  std::span<float>(row.data(), row.size()));
   }
   cache.insert(std::span<const TokenId>(prompt.data(), prompt.size()),
                writer);
@@ -603,9 +601,9 @@ TEST(KvTruncate, TruncateDoesNotDisturbRadixCacheEntries) {
   const auto junk = ramp_tokens(4, config.vocab_size, 23);
   std::vector<float> junk_logits(
       junk.size() * static_cast<std::size_t>(config.vocab_size));
-  verify_step(model, b, spec_scratch,
-              std::span<const TokenId>(junk.data(), junk.size()),
-              std::span<float>(junk_logits.data(), junk_logits.size()));
+  forward_block(model, b, spec_scratch,
+                std::span<const TokenId>(junk.data(), junk.size()),
+                std::span<float>(junk_logits.data(), junk_logits.size()));
   b.truncate(0);
   ref_b.release();
 
@@ -620,8 +618,8 @@ TEST(KvTruncate, TruncateDoesNotDisturbRadixCacheEntries) {
       cache.acquire(std::span<const TokenId>(prompt.data(), prompt.size()),
                     c);
   ASSERT_EQ(ref_c.matched(), static_cast<std::int64_t>(prompt.size()));
-  decode_step(model, c, scratch, probe,
-              std::span<float>(row.data(), row.size()));
+  forward_token(model, c, scratch, probe,
+                std::span<float>(row.data(), row.size()));
   EXPECT_TRUE(rows_equal(std::span<const float>(row.data(), row.size()),
                          expected.back()));
 }
