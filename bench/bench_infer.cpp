@@ -23,7 +23,7 @@
 //   matvec_scaling   the [vocab, d] logits-projection one-row project() gets
 //                    >= 2x faster from 1 to 4 pool threads. Skipped on
 //                    hosts with fewer than 4 cores.
-//   mcq_speedup      run_mcq_eval's prefill-once/snapshot-per-choice path
+//   mcq_speedup      run_mcq_eval's prefill-once/truncate-per-choice path
 //                    is >= 2x faster than re-prefilling the shared context
 //                    for every choice, with bitwise-equal scores. Always
 //                    enforced (it is an algorithmic win, not a SIMD one).
@@ -743,7 +743,7 @@ int main(int argc, char** argv) {
       spec_stats.draft_hit_rate(), spec_probe,
       spec_identical ? "true" : "false");
 
-  // -- MCQ: snapshot reuse vs re-prefill -------------------------------------
+  // -- MCQ: prefill once and truncate per choice vs re-prefill ---------------
   ModelConfig mcq_config;
   mcq_config.name = "bench-mcq";
   mcq_config.vocab_size = tokenizer().vocab_size();

@@ -227,19 +227,19 @@ CategoryScores run_mcq_eval(const TransformerModel& model,
         const std::vector<TokenId> context =
             tok.encode(prompt, /*add_bos=*/true);
 
-        // Prefill the shared question once, snapshot, and score every
-        // choice from the snapshot. Restoring the KV prefix puts the
-        // session in exactly the state a fresh prefill of `context` would,
-        // so each choice's mean logprob is bitwise-identical to the
-        // re-prefilling mean_logprob() path.
+        // Prefill the shared question once and score every choice from
+        // it, rewinding to the question with truncate() in between. The
+        // KV rows past the question are never read again, so each choice's
+        // mean logprob is bitwise-identical to the re-prefilling
+        // mean_logprob() path.
         InferenceSession session(model);
         const std::vector<float> context_logits = session.prefill(context);
-        const InferenceSession::Snapshot prefix = session.snapshot();
+        const auto context_len = static_cast<std::int64_t>(context.size());
 
         double best_score = -1e300;
         int best_choice = -1;
         for (std::size_t c = 0; c < item.choices.size(); ++c) {
-          if (c > 0) session.restore(prefix);
+          session.truncate(context_len);
           const std::vector<TokenId> continuation =
               tok.encode(item.choices[c]);
           const double score =

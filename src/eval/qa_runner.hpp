@@ -56,9 +56,9 @@ CategoryScores run_industrial_eval(const TransformerModel& model,
 
 /// Multiple-choice accuracy by length-normalized log-likelihood (closed
 /// book, no instructions — Figure 7's setting). Each item prefills its
-/// question once, snapshots the KV cache, and scores every choice from the
-/// snapshot — bitwise-identical scores to re-prefilling per choice at a
-/// fraction of the cost.
+/// question once and scores every choice from it, rewinding the KV cache
+/// to the question with truncate() — bitwise-identical scores to
+/// re-prefilling per choice at a fraction of the cost.
 CategoryScores run_mcq_eval(const TransformerModel& model,
                             const std::vector<McqItem>& items,
                             ThreadPool* pool = nullptr);

@@ -1,6 +1,5 @@
 #include "nn/infer.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "tensor/tensor_ops.hpp"
@@ -14,46 +13,6 @@ InferenceSession::InferenceSession(const TransformerModel& model)
       scratch_(model.config(), /*max_batch=*/1) {}
 
 void InferenceSession::reset() { state_.position = 0; }
-
-InferenceSession::Snapshot InferenceSession::snapshot() const {
-  Snapshot snap;
-  snap.position = state_.position;
-  snap.n_layers = state_.n_layers;
-  snap.kv_dim = state_.kv_dim;
-  const std::int64_t live = state_.position * state_.kv_dim;
-  snap.k.resize(static_cast<std::size_t>(state_.n_layers * live));
-  snap.v.resize(static_cast<std::size_t>(state_.n_layers * live));
-  for (std::int64_t layer = 0; layer < state_.n_layers; ++layer) {
-    std::copy_n(state_.k_at(layer, 0), live, snap.k.data() + layer * live);
-    std::copy_n(state_.v_at(layer, 0), live, snap.v.data() + layer * live);
-  }
-  return snap;
-}
-
-void InferenceSession::restore(const Snapshot& snap) {
-  CA_CHECK(snap.position >= 0 && snap.position <= state_.capacity,
-           "snapshot position " << snap.position
-                                << " exceeds session KV capacity "
-                                << state_.capacity);
-  CA_CHECK(snap.n_layers == state_.n_layers && snap.kv_dim == state_.kv_dim,
-           "snapshot geometry (n_layers "
-               << snap.n_layers << ", kv_dim " << snap.kv_dim
-               << ") was taken over a different model than this session's "
-                  "(n_layers "
-               << state_.n_layers << ", kv_dim " << state_.kv_dim << ")");
-  const std::int64_t live = snap.position * state_.kv_dim;
-  CA_CHECK(static_cast<std::int64_t>(snap.k.size()) ==
-                   state_.n_layers * live &&
-               snap.k.size() == snap.v.size(),
-           "snapshot cache holds " << snap.k.size() << " floats, expected "
-                                   << state_.n_layers * live
-                                   << " for position " << snap.position);
-  for (std::int64_t layer = 0; layer < state_.n_layers; ++layer) {
-    std::copy_n(snap.k.data() + layer * live, live, state_.k_at(layer, 0));
-    std::copy_n(snap.v.data() + layer * live, live, state_.v_at(layer, 0));
-  }
-  state_.position = snap.position;
-}
 
 const std::vector<float>& InferenceSession::step(TokenId token) {
   verify(std::span<const TokenId>(&token, 1));

@@ -34,20 +34,6 @@ namespace chipalign {
 /// Stateful single-sequence decoder over a fixed model.
 class InferenceSession {
  public:
-  /// Compact copy of a session's KV state at some position, taken with
-  /// snapshot() and re-installed with restore(). Only the first position()
-  /// entries of each layer cache are stored, so a snapshot after a shared
-  /// prompt is cheap to hold while scoring many continuations from it. The
-  /// cache geometry rides along so restore() can reject a snapshot taken
-  /// over a differently-shaped model instead of corrupting the cache.
-  struct Snapshot {
-    std::int64_t position = 0;
-    std::int64_t n_layers = 0;
-    std::int64_t kv_dim = 0;
-    std::vector<float> k;  ///< [n_layers, position, kv_dim], flattened
-    std::vector<float> v;
-  };
-
   explicit InferenceSession(const TransformerModel& model);
 
   /// Feeds one token at the current position; returns the logits row
@@ -86,17 +72,6 @@ class InferenceSession {
   /// Resets the position to zero. O(1): the KV cache is not cleared because
   /// positions at or beyond the current position are never read.
   void reset();
-
-  /// Copies the live prefix of the KV cache (everything up to position()).
-  Snapshot snapshot() const;
-
-  /// Reinstalls a snapshot taken from a session over the same model,
-  /// rewinding (or advancing) the position to the snapshot's. Subsequent
-  /// steps produce bitwise-identical logits to a fresh session re-fed the
-  /// snapshot's tokens. Throws Error (with the offending dimensions in the
-  /// message) when the snapshot's position exceeds this session's cache
-  /// capacity or its layer/kv geometry does not match this model.
-  void restore(const Snapshot& snap);
 
  private:
   const TransformerModel& model_;
@@ -154,9 +129,9 @@ double sequence_logprob(const TransformerModel& model,
 /// session. `logits` must be the row predicting continuation[0] (i.e. the
 /// output of the step/prefill that consumed the context); the session is
 /// advanced by continuation.size() - 1 steps. Combined with
-/// InferenceSession::snapshot()/restore(), this lets a harness prefill a
-/// shared context once and score many continuations from it, bit-identical
-/// to re-prefilling per continuation.
+/// InferenceSession::truncate() back to the context length, this lets a
+/// harness prefill a shared context once and score many continuations from
+/// it, bit-identical to re-prefilling per continuation.
 double continuation_logprob(InferenceSession& session,
                             std::span<const float> logits,
                             const std::vector<TokenId>& continuation);

@@ -5,14 +5,13 @@
 /// Sessions whose prompts share a token prefix — every chip_assistant
 /// request starts with the same instruction header, every QA prompt with
 /// the same retrieved context — redo identical prefill work. RadixKvCache
-/// generalizes the point-to-point InferenceSession::Snapshot into a shared
-/// structure: a path-compressed token trie whose every node owns the
-/// per-layer KV rows of its edge tokens. acquire() copies the KV of the
-/// longest cached prefix straight into a fresh SessionState (so a session
-/// never aliases tree memory and eviction can never pull rows out from
-/// under a running decode), and insert() publishes a finished prefill back
-/// into the tree, splitting edges at divergence points so common prefixes
-/// are stored exactly once.
+/// shares that work across sessions: a path-compressed token trie whose
+/// every node owns the per-layer KV rows of its edge tokens. acquire()
+/// copies the KV of the longest cached prefix straight into a fresh
+/// SessionState (so a session never aliases tree memory and eviction can
+/// never pull rows out from under a running decode), and insert()
+/// publishes a finished prefill back into the tree, splitting edges at
+/// divergence points so common prefixes are stored exactly once.
 ///
 /// Nodes are refcounted: acquire() pins the matched path until the returned
 /// Ref is released (sessions hold the Ref for their lifetime), which keeps
@@ -23,7 +22,8 @@
 ///
 /// Because the copied rows are the exact bits the original prefill wrote,
 /// a cache-hit session decodes bit-identically to one that re-ran the
-/// whole prompt (the same invariant Snapshot::restore() guarantees).
+/// whole prompt (the same invariant truncate() and re-decoding keep within
+/// one session).
 ///
 /// Not thread-safe; the serving Scheduler calls it from its driver thread.
 

@@ -175,6 +175,21 @@ Tensor read_verified(const TensorSource& source, const std::string& name,
   }
 }
 
+/// One tensor on its way through either engine: inputs filled by the read
+/// stage, output bytes by the merge stage, emptied once committed. In the
+/// pipelined engine `read` and `merged` hand the slot from stage to stage
+/// under the pipeline mutex, and `cost` is its charge against the budget.
+struct TensorSlot {
+  Tensor chip_tensor;
+  Tensor instruct_tensor;
+  Tensor base_tensor;
+  std::vector<std::uint8_t> out_bytes;
+  std::string checksum;
+  std::uint64_t cost = 0;
+  bool read = false;
+  bool merged = false;
+};
+
 /// Everything the two engines (serial and pipelined) share: the immutable
 /// plan-side inputs plus the mutable commit-side state (journal, checksums,
 /// counters). Commit-side members are only touched by one thread at a time
@@ -203,10 +218,41 @@ struct MergeRun {
   std::atomic<std::uint64_t> merge_us{0};
   std::atomic<std::uint64_t> write_us{0};
 
-  /// read_verified() with this run's retry policy and counters.
-  Tensor read_input(const TensorSource& source, const std::string& name) {
-    return read_verified(source, name, config.read_retry, bytes_read,
-                         checksum_verified, read_retries);
+  /// Read stage: the verified inputs of plan entry `index` into `slot`.
+  void read_inputs(std::size_t index, TensorSlot& slot) {
+    const Timer read_timer;
+    const std::string& name = names[index];
+    const auto read = [&](const TensorSource& source) {
+      return read_verified(source, name, config.read_retry, bytes_read,
+                           checksum_verified, read_retries);
+    };
+    slot.chip_tensor = read(chip);
+    slot.instruct_tensor = read(instruct);
+    if (base != nullptr) slot.base_tensor = read(*base);
+    read_us.fetch_add(static_cast<std::uint64_t>(read_timer.seconds() * 1e6));
+  }
+
+  /// Merge stage: merges and encodes plan entry `index` from the inputs in
+  /// `slot`, fills its output bytes and checksum, and drops the inputs,
+  /// which are dead weight while the slot waits for its commit.
+  void merge_encode(std::size_t index, TensorSlot& slot) {
+    const Timer merge_timer;
+    const std::string& name = names[index];
+    Rng rng = merge_tensor_rng(options, index);
+    const Tensor merged = merger.merge_tensor(
+        name, slot.chip_tensor, slot.instruct_tensor,
+        base != nullptr ? &slot.base_tensor : nullptr, options, rng);
+    CA_CHECK(merged.shape() == chip.record(name).shape,
+             "merger '" << merger.name() << "' changed shape of '" << name
+                        << "'");
+    slot.out_bytes = encode_tensor_bytes(merged, config.out_dtype);
+    slot.checksum =
+        hash_to_hex(xxh64(slot.out_bytes.data(), slot.out_bytes.size()));
+    slot.chip_tensor = Tensor();
+    slot.instruct_tensor = Tensor();
+    slot.base_tensor = Tensor();
+    merge_us.fetch_add(
+        static_cast<std::uint64_t>(merge_timer.seconds() * 1e6));
   }
 
   std::uint64_t tensor_cost(const std::string& name) const {
@@ -263,20 +309,6 @@ struct MergeRun {
   }
 };
 
-/// One tensor travelling through the pipeline: filled stage by stage, its
-/// accounted cost released only when the writer commits (or the pipeline
-/// abandons) it.
-struct PipelineSlot {
-  std::size_t index = 0;
-  std::uint64_t cost = 0;
-  Tensor chip_tensor;
-  Tensor instruct_tensor;
-  Tensor base_tensor;
-  bool has_base = false;
-  std::vector<std::uint8_t> out_bytes;
-  std::string checksum;
-};
-
 /// The escape hatch (`pipeline = false`): one tensor at a time, strictly
 /// serial — read shard, merge, encode, write, journal — on the calling
 /// thread. The reference the pipelined engine must match byte-for-byte, and
@@ -287,221 +319,157 @@ void run_serial(MergeRun& run, StreamingMergeReport& report) {
     const std::string& name = run.names[index];
     report.max_inflight_bytes_observed = std::max(
         report.max_inflight_bytes_observed, run.tensor_cost(name));
-
-    const Timer read_timer;
-    const Tensor chip_tensor = run.read_input(run.chip, name);
-    const Tensor instruct_tensor = run.read_input(run.instruct, name);
-    Tensor base_tensor;
-    const Tensor* base_ptr = nullptr;
-    if (run.base != nullptr) {
-      base_tensor = run.read_input(*run.base, name);
-      base_ptr = &base_tensor;
-    }
-    run.read_us.fetch_add(
-        static_cast<std::uint64_t>(read_timer.seconds() * 1e6));
-
-    const Timer merge_timer;
-    Rng rng = merge_tensor_rng(run.options, index);
-    const Tensor merged = run.merger.merge_tensor(
-        name, chip_tensor, instruct_tensor, base_ptr, run.options, rng);
-    CA_CHECK(merged.shape() == run.chip.record(name).shape,
-             "merger '" << run.merger.name() << "' changed shape of '" << name
-                        << "'");
-    const std::vector<std::uint8_t> out_bytes =
-        encode_tensor_bytes(merged, run.config.out_dtype);
-    const std::string checksum =
-        hash_to_hex(xxh64(out_bytes.data(), out_bytes.size()));
-    run.merge_us.fetch_add(
-        static_cast<std::uint64_t>(merge_timer.seconds() * 1e6));
-
-    run.commit(name, out_bytes, checksum, ++journaled);
+    TensorSlot slot;
+    run.read_inputs(index, slot);
+    run.merge_encode(index, slot);
+    run.commit(name, slot.out_bytes, slot.checksum, ++journaled);
   }
 }
 
-/// The three-stage pipelined engine: io_threads prefetchers -> compute pool
-/// -> one in-plan-order writer thread, all throttled by the in-flight byte
-/// budget and the prefetch_tensors cap. See the header's file comment for
-/// the contract.
+/// The three-stage pipelined engine; see the header's file comment for the
+/// contract. Stages hand slots to each other through one mutex and one
+/// condition variable:
+///
+///   * `io_threads` reader threads claim plan positions in order, admit
+///     each in plan order once the in-flight byte budget and the
+///     prefetch_tensors cap allow it (or nothing is in flight), and read
+///     its inputs;
+///   * the merge stage is one parallel_for over the plan on the merge pool;
+///     index k waits for read k;
+///   * one writer thread commits in plan order and releases the budget.
+///
+/// No deadlock: parallel_for hands out indices in ascending order and
+/// admission follows plan order, so the lowest uncommitted position — the
+/// writer's next — is admitted (or, with nothing else in flight, is
+/// admitted next), read by the reader that claimed it, and merged by the
+/// thread that took its index. The first failure anywhere is recorded, every wait
+/// gives up, and it is rethrown once all stages have stopped; the journal,
+/// written in plan order, stays resumable.
 void run_pipelined(MergeRun& run, StreamingMergeReport& report) {
   const StreamingMergeConfig& config = run.config;
-  ThreadPool& compute_pool =
+  ThreadPool& pool =
       config.pool != nullptr ? *config.pool : global_thread_pool();
-  ThreadPool io_pool(std::max<std::size_t>(1, config.io_threads));
   const std::size_t prefetch_cap =
       std::max<std::size_t>(1, config.prefetch_tensors);
+  const std::size_t count = run.todo.size();
+  std::vector<TensorSlot> slots(count);
 
-  // Budget accounting. Charged at admission (scheduler), released at commit
-  // (writer) or on abandonment after a failure. Because tensors are
-  // admitted in plan order, the writer's next-expected tensor is always in
-  // flight, so it always completes and releases budget: no deadlock.
-  std::mutex budget_mutex;
-  std::condition_variable budget_cv;
+  std::mutex mutex;
+  std::condition_variable changed;
+  std::size_t next_claim = 0;  // next plan position a reader takes
+  std::size_t admitted = 0;    // positions [0, admitted) were charged
   std::uint64_t inflight_bytes = 0;
   std::size_t inflight_count = 0;
+  bool failed = false;
+  std::exception_ptr first_error;
 
-  // Compute -> writer handoff: completed slots keyed by plan index.
-  std::mutex ready_mutex;
-  std::condition_variable ready_cv;
-  std::map<std::size_t, PipelineSlot> ready;
-
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr writer_error;
-
-  ThreadPool::Batch io_batch;
-  ThreadPool::Batch compute_batch;
-
-  auto release_budget = [&](std::uint64_t cost) {
+  const auto fail = [&](std::exception_ptr error) {
     {
-      std::lock_guard<std::mutex> lock(budget_mutex);
-      inflight_bytes -= cost;
-      --inflight_count;
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!failed) first_error = std::move(error);
+      failed = true;
     }
-    budget_cv.notify_all();
+    changed.notify_all();
   };
-  // First failure anywhere: flag it, skip work still queued behind it, and
-  // wake both the admission wait and the writer so everyone winds down.
-  auto note_failure = [&] {
-    failed.store(true);
-    io_batch.cancel();
-    compute_batch.cancel();
-    budget_cv.notify_all();
-    ready_cv.notify_all();
+  // Waits under `lock` until `ready` holds; false once the run has failed.
+  const auto await = [&](std::unique_lock<std::mutex>& lock,
+                         const auto& ready) {
+    changed.wait(lock, [&] { return failed || ready(); });
+    return !failed;
+  };
+  // Sets a slot's stage flag and wakes whoever waits on it.
+  const auto publish = [&](bool& flag) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      flag = true;
+    }
+    changed.notify_all();
   };
 
-  std::thread writer_thread([&] {
-    std::size_t journaled = 0;
+  const auto read_stage = [&] {
     try {
-      for (const std::size_t index : run.todo) {
-        PipelineSlot slot;
+      while (true) {
+        std::size_t k = 0;
         {
-          std::unique_lock<std::mutex> lock(ready_mutex);
-          ready_cv.wait(lock, [&] {
-            return failed.load() || ready.count(index) > 0;
-          });
-          if (failed.load()) return;
-          slot = std::move(ready.at(index));
-          ready.erase(index);
+          std::unique_lock<std::mutex> lock(mutex);
+          if (failed || next_claim == count) return;
+          k = next_claim++;
+          const std::uint64_t cost = run.tensor_cost(run.names[run.todo[k]]);
+          if (!await(lock, [&] {
+                return admitted == k &&
+                       (inflight_count == 0 ||
+                        (inflight_bytes + cost <= config.max_inflight_bytes &&
+                         inflight_count < prefetch_cap));
+              })) {
+            return;
+          }
+          admitted = k + 1;
+          inflight_bytes += cost;
+          ++inflight_count;
+          slots[k].cost = cost;
+          report.max_inflight_bytes_observed =
+              std::max(report.max_inflight_bytes_observed, inflight_bytes);
         }
-        run.commit(run.names[index], slot.out_bytes, slot.checksum,
-                   ++journaled);
-        release_budget(slot.cost);
+        changed.notify_all();  // the reader holding position k + 1
+        run.read_inputs(run.todo[k], slots[k]);
+        publish(slots[k].read);
       }
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!writer_error) writer_error = std::current_exception();
-      }
-      note_failure();
+      fail(std::current_exception());
     }
-  });
+  };
 
-  // Admission scheduler: plan order, bounded by bytes and slot count.
-  for (const std::size_t index : run.todo) {
-    if (failed.load()) break;
-    const std::uint64_t cost = run.tensor_cost(run.names[index]);
-    {
-      std::unique_lock<std::mutex> lock(budget_mutex);
-      budget_cv.wait(lock, [&] {
-        return failed.load() || inflight_count == 0 ||
-               (inflight_bytes + cost <= config.max_inflight_bytes &&
-                inflight_count < prefetch_cap);
-      });
-      if (failed.load()) break;
-      inflight_bytes += cost;
-      ++inflight_count;
-      report.max_inflight_bytes_observed =
-          std::max(report.max_inflight_bytes_observed, inflight_bytes);
-    }
-
-    io_pool.submit(io_batch, [&run, &compute_pool, &compute_batch, &ready,
-                              &ready_mutex, &ready_cv, &failed, &note_failure,
-                              &release_budget, index, cost] {
-      if (failed.load()) {
-        release_budget(cost);
-        return;
-      }
-      PipelineSlot slot;
-      slot.index = index;
-      slot.cost = cost;
-      const std::string& name = run.names[index];
-      try {
-        const Timer read_timer;
-        slot.chip_tensor = run.read_input(run.chip, name);
-        slot.instruct_tensor = run.read_input(run.instruct, name);
-        if (run.base != nullptr) {
-          slot.base_tensor = run.read_input(*run.base, name);
-          slot.has_base = true;
+  const auto write_stage = [&] {
+    try {
+      for (std::size_t k = 0; k < count; ++k) {
+        {
+          std::unique_lock<std::mutex> lock(mutex);
+          if (!await(lock, [&] { return slots[k].merged; })) return;
         }
-        run.read_us.fetch_add(
-            static_cast<std::uint64_t>(read_timer.seconds() * 1e6));
-      } catch (...) {
-        release_budget(cost);
-        note_failure();
-        throw;  // captured by io_batch, rethrown to the caller
+        const std::size_t index = run.todo[k];
+        run.commit(run.names[index], slots[k].out_bytes, slots[k].checksum,
+                   k + 1);
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          inflight_bytes -= slots[k].cost;
+          --inflight_count;
+        }
+        changed.notify_all();
+        slots[k] = TensorSlot();
       }
-      compute_pool.submit(compute_batch, [&run, &ready, &ready_mutex,
-                                          &ready_cv, &failed, &note_failure,
-                                          &release_budget,
-                                          slot = std::move(slot)]() mutable {
-        if (failed.load()) {
-          release_budget(slot.cost);
-          return;
+    } catch (...) {
+      fail(std::current_exception());
+    }
+  };
+
+  {
+    // Joined on leaving this scope, after fail() on every error path has
+    // released any stage still waiting.
+    std::vector<std::jthread> stages;
+    try {
+      for (std::size_t i = 0; i < std::max<std::size_t>(1, config.io_threads);
+           ++i) {
+        stages.emplace_back(read_stage);
+      }
+      stages.emplace_back(write_stage);
+      pool.parallel_for(count, [&](std::size_t k) {
+        {
+          std::unique_lock<std::mutex> lock(mutex);
+          if (!await(lock, [&] { return slots[k].read; })) return;
         }
         try {
-          const std::string& name = run.names[slot.index];
-          const Timer merge_timer;
-          Rng rng = merge_tensor_rng(run.options, slot.index);
-          const Tensor merged = run.merger.merge_tensor(
-              name, slot.chip_tensor, slot.instruct_tensor,
-              slot.has_base ? &slot.base_tensor : nullptr, run.options, rng);
-          CA_CHECK(merged.shape() == run.chip.record(name).shape,
-                   "merger '" << run.merger.name() << "' changed shape of '"
-                              << name << "'");
-          slot.out_bytes = encode_tensor_bytes(merged, run.config.out_dtype);
-          slot.checksum =
-              hash_to_hex(xxh64(slot.out_bytes.data(), slot.out_bytes.size()));
-          run.merge_us.fetch_add(
-              static_cast<std::uint64_t>(merge_timer.seconds() * 1e6));
-          // Inputs are dead weight from here; drop them before the slot
-          // waits in the ready queue for its plan-order turn.
-          slot.chip_tensor = Tensor();
-          slot.instruct_tensor = Tensor();
-          slot.base_tensor = Tensor();
-          {
-            std::lock_guard<std::mutex> lock(ready_mutex);
-            ready.emplace(slot.index, std::move(slot));
-          }
-          ready_cv.notify_all();
+          run.merge_encode(run.todo[k], slots[k]);
         } catch (...) {
-          release_budget(slot.cost);
-          note_failure();
-          throw;  // captured by compute_batch, rethrown to the caller
+          fail(std::current_exception());
+          return;
         }
+        publish(slots[k].merged);
       });
-    });
+    } catch (...) {
+      fail(std::current_exception());
+    }
   }
-
-  // Drain: io tasks first (they are what submits compute tasks), then
-  // compute, then the writer. Batch waits rethrow the first stage error;
-  // defer it so the writer is always joined.
-  std::exception_ptr error;
-  try {
-    io_batch.wait();
-  } catch (...) {
-    error = std::current_exception();
-  }
-  try {
-    compute_batch.wait();
-  } catch (...) {
-    if (!error) error = std::current_exception();
-  }
-  writer_thread.join();
-  if (!error) {
-    std::lock_guard<std::mutex> lock(error_mutex);
-    error = writer_error;
-  }
-  if (error) std::rethrow_exception(error);  // journal stays for resume
+  if (first_error) std::rethrow_exception(first_error);  // journal resumable
 }
 
 }  // namespace

@@ -5,14 +5,15 @@
 /// merge_streaming() drives any Merger through a bounded three-stage
 /// pipeline so I/O and compute overlap instead of summing:
 ///
-///   1. *Prefetch* — an internal pool of `io_threads` readers seek-reads the
-///      chip/instruct (and optional base) tensors of upcoming plan entries,
-///      verifying each read against the source manifest's XXH64 checksum
-///      when one is recorded (silent shard corruption becomes a hard
-///      error);
-///   2. *Compute* — the merge math (SLERP/LERP/TIES/...) plus output-dtype
-///      encoding runs on `StreamingMergeConfig::pool` (default: the global
-///      ThreadPool), any number of tensors concurrently;
+///   1. *Read* — `io_threads` reader threads admit plan entries in plan
+///      order and seek-read their chip/instruct (and optional base)
+///      tensors, verifying each read against the source manifest's XXH64
+///      checksum when one is recorded (silent shard corruption becomes a
+///      hard error);
+///   2. *Merge* — the merge math (SLERP/LERP/TIES/...) plus output-dtype
+///      encoding is one ThreadPool::parallel_for over the plan on
+///      `StreamingMergeConfig::pool` (default: the global ThreadPool), as
+///      wide as that pool; index k waits for read k;
 ///   3. *Write* — a single writer thread commits finished tensors to the
 ///      ShardSetWriter and appends journal entries strictly **in plan
 ///      (name-sorted) order**, so the journal is always a plan-order prefix
@@ -35,8 +36,9 @@
 /// match the plan, then completes the manifest — an interrupted merge
 /// restarts where it stopped and converges to the same bytes. A torn final
 /// journal line (kill mid-append) is discarded, so only that tensor is
-/// redone. Worker/writer exceptions propagate to the caller after the
-/// pipeline drains, with the journal left in this resumable state.
+/// redone. The first reader, merge or writer exception winds the other
+/// stages down and propagates to the caller once they have stopped, with
+/// the journal left in this resumable state.
 ///
 /// Determinism: per-tensor RNG streams come from merge_tensor_rng() with
 /// the tensor's index in the name-sorted list — the same derivation as
@@ -86,8 +88,8 @@ struct StreamingMergeConfig {
   /// thread. Output bytes and journal contents are identical either way.
   bool pipeline = true;
 
-  /// Reader threads of the prefetch stage (pipeline mode only; clamped to
-  /// at least 1).
+  /// Reader threads of the read stage (pipeline mode only; clamped to at
+  /// least 1).
   std::size_t io_threads = 2;
 
   /// Cap on tensors admitted into the pipeline at once, on top of the byte
@@ -106,7 +108,7 @@ struct StreamingMergeConfig {
   RetryPolicy read_retry;
 
   /// Optional per-tensor completion callback (done, total); called from
-  /// worker threads.
+  /// the writer thread, or the calling thread when pipeline is false.
   MergeProgressFn progress;
 
   /// Emit a CA_LOG_INFO progress/throughput line every N completed tensors
@@ -117,9 +119,9 @@ struct StreamingMergeConfig {
   /// (-1 disables). Simulates an interrupted merge for resume tests.
   int fail_after_tensors = -1;
 
-  /// Pool to run merge workers on; nullptr = the global pool. Output bytes
-  /// are identical for any pool size (the determinism tests exercise 1 vs N
-  /// worker threads through this knob).
+  /// Pool whose parallel_for runs the merge stage; nullptr = the global
+  /// pool. Output bytes are identical for any pool size (the determinism
+  /// tests exercise 1 vs N threads through this knob).
   ThreadPool* pool = nullptr;
 };
 
@@ -139,7 +141,7 @@ struct StreamingMergeReport {
   std::size_t source_checksums_verified = 0;
   /// Transient read failures that were retried (and recovered from).
   std::size_t read_retries = 0;
-  /// Aggregate busy time per stage, summed across worker threads. In
+  /// Aggregate busy time per stage, summed across its threads. In
   /// pipeline mode their sum exceeding `seconds` is the overlap win; in
   /// serial mode they sum to ~`seconds`.
   double read_seconds = 0.0;

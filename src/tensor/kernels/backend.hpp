@@ -58,8 +58,6 @@ void project_block(const WeightView& w, const double* xd,
                    std::int64_t o0, std::int64_t o1);
 // Quantized variants: dequantize-on-the-fly with the same reduction shape.
 double dot_f16(const std::uint16_t* a, const float* b, std::size_t n);
-double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n);
-double dot_i8(const std::int8_t* q, const float* x, std::size_t n);
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
 }  // namespace generic
 
@@ -77,11 +75,9 @@ void matmul_rows(const float* a, const float* b, float* c, std::int64_t i0,
 void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n, std::int64_t j0,
                     std::int64_t j1);
-// bf16 / int8 dequant uses only AVX2 integer ops; f16 additionally needs
-// F16C (vcvtph2ps), probed separately and checked at runtime.
-double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n);
-double dot_i8(const std::int8_t* q, const float* x, std::size_t n);
-/// kernels::project block; kF16 weights only when F16C is compiled in.
+/// kernels::project block; bf16 / int8 dequant uses only AVX2 integer ops,
+/// kF16 weights additionally need F16C (vcvtph2ps), probed separately and
+/// checked at runtime.
 void project_block(const WeightView& w, const double* xd,
                    const ProjectOut& out, std::int64_t r0, std::int64_t r1,
                    std::int64_t o0, std::int64_t o1);

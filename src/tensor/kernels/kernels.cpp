@@ -251,20 +251,6 @@ double dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
   return generic::dot_f16(a, b, n);
 }
 
-double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-  if (use_avx2()) return avx2::dot_bf16(a, b, n);
-#endif
-  return generic::dot_bf16(a, b, n);
-}
-
-double dot_i8(const std::int8_t* q, const float* x, std::size_t n) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-  if (use_avx2()) return avx2::dot_i8(q, x, n);
-#endif
-  return generic::dot_i8(q, x, n);
-}
-
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
 #if defined(CHIPALIGN_HAVE_F16C)
   if (use_avx2_f16()) return avx2::axpy_f16(alpha, x, y, n);

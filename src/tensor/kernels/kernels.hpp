@@ -163,18 +163,11 @@ void project(const WeightView& w, const float* x, float* y,
 /// to fp32 before entering the 8-lane fp64 reduction.
 double dot_f16(const std::uint16_t* a, const float* b, std::size_t n);
 
-/// dot() with `a` stored as bf16 bit patterns (exact high-half expansion).
-double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n);
-
-/// Unscaled int8 dot: lanes accumulate double(float(q[i])) * double(x[i]).
-/// Callers apply the per-row scale once on the combined result.
-double dot_i8(const std::int8_t* q, const float* x, std::size_t n);
-
 /// y[i] += alpha * f16(x[i]) — the fp16 KV-cache attention accumulate.
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
 
 /// matmul_nt() with int8 weights as the A operand: c[i,j] =
-/// float(double(a_scales[i]) * dot_i8(a row i, b row j)), i.e. project()
+/// float(double(a_scales[i]) * ref::dot_i8(a row i, b row j)), i.e. project()
 /// over the [m, k] int8 weights and n activation rows, with the output laid
 /// out [m, n] (weight-row major) rather than project()'s [n, m].
 void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,

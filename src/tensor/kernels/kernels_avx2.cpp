@@ -412,14 +412,6 @@ void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n) {
-  return dot_lanes<VLoadBF16>(a, b, n);
-}
-
-double dot_i8(const std::int8_t* q, const float* x, std::size_t n) {
-  return dot_lanes<VLoadI8>(q, x, n);
-}
-
 void project_block(const WeightView& w, const double* xd,
                    const ProjectOut& out, std::int64_t r0, std::int64_t r1,
                    std::int64_t o0, std::int64_t o1) {

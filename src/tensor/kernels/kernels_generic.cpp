@@ -144,14 +144,6 @@ double dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
   return dot_q(a, b, n, LoadF16{});
 }
 
-double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n) {
-  return dot_q(a, b, n, LoadBF16{});
-}
-
-double dot_i8(const std::int8_t* q, const float* x, std::size_t n) {
-  return dot_q(q, x, n, LoadI8{});
-}
-
 void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * f16_bits_to_f32(x[i]);
 }

@@ -79,23 +79,13 @@ void spin_pause(unsigned spins) {
 }
 }  // namespace
 
-void ThreadPool::Batch::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_.wait(lock, [this] { return pending_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t cores =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  if (num_threads == 0) num_threads = cores;
-  helpers_ = num_threads > 1 ? std::min(num_threads, cores - 1) : 0;
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  size_ = num_threads == 0 ? cores : num_threads;
+  const std::size_t helpers = std::min(size_, cores) - 1;
+  workers_.reserve(helpers);
+  for (std::size_t i = 0; i < helpers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -105,38 +95,11 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_.store(true, std::memory_order_release);
   }
-  task_available_.notify_all();
+  job_available_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
 bool ThreadPool::on_worker_thread() { return tl_on_worker_thread; }
-
-void ThreadPool::submit(Batch& batch, std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(batch.mutex_);
-    ++batch.pending_;
-  }
-  // The wrapper owns all batch bookkeeping, so the worker loop itself needs
-  // no per-batch knowledge and the queue stays a plain function queue.
-  auto wrapped = [&batch, task = std::move(task)] {
-    try {
-      if (!batch.cancelled()) task();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(batch.mutex_);
-      if (!batch.first_error_) batch.first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(batch.mutex_);
-      if (--batch.pending_ == 0) batch.done_.notify_all();
-    }
-  };
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tasks_.push(std::move(wrapped));
-    queued_.fetch_add(1, std::memory_order_relaxed);
-  }
-  task_available_.notify_one();
-}
 
 void ThreadPool::drain(const std::function<void(std::size_t)>& fn,
                        std::size_t count) {
@@ -149,10 +112,10 @@ void ThreadPool::drain(const std::function<void(std::size_t)>& fn,
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (count == 1 || helpers_ == 0 || on_worker_thread() ||
+  if (count == 1 || workers_.empty() || on_worker_thread() ||
       in_flight_.exchange(true, std::memory_order_acquire)) {
     // Inline path: trivial fan-out, a pool without helpers, a nested call
-    // from inside a worker task (waiting on workers that may all be inside
+    // from inside a helper (waiting on helpers that may all be inside
     // such calls could deadlock), or another caller's job in flight.
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
@@ -171,7 +134,7 @@ void ThreadPool::parallel_for(std::size_t count,
   // parked. Taking the mutex orders the notify after its wait began.
   if (parked_helpers_.load() > 0) {
     { std::lock_guard<std::mutex> lock(mutex_); }
-    task_available_.notify_all();
+    job_available_.notify_all();
   }
   std::exception_ptr caller_error;
   try {
@@ -234,61 +197,34 @@ void ThreadPool::help(std::uint64_t ctrl) {
   }
 }
 
-bool ThreadPool::run_queued_task() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  task();  // exceptions are captured by the Batch wrapper
-  return true;
-}
-
 void ThreadPool::worker_loop(std::size_t index) {
   tl_on_worker_thread = true;
-  const bool helper = index < helpers_;
   std::uint32_t seen = epoch_of(ctrl_.load(std::memory_order_acquire));
   Clock::time_point last_job;  // the clock's epoch: start parked
   unsigned spins = 0;
   while (true) {
-    if (queued_.load(std::memory_order_relaxed) > 0 && run_queued_task()) {
+    const std::uint64_t ctrl = ctrl_.load(std::memory_order_acquire);
+    if (epoch_of(ctrl) != seen) {
+      seen = epoch_of(ctrl);
+      help(ctrl);
+      last_job = Clock::now();
       continue;
     }
-    if (helper) {
-      const std::uint64_t ctrl = ctrl_.load(std::memory_order_acquire);
-      if (epoch_of(ctrl) != seen) {
-        seen = epoch_of(ctrl);
-        help(ctrl);
-        last_job = Clock::now();
-        continue;
-      }
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (tasks_.empty()) return;
-      continue;
-    }
-    // Helpers spin through the window after their last parallel_for job
-    // (a queued task does not extend it); queue-only workers, and helpers
-    // past the window, park.
-    if (helper && (++spins % kSpinsPerClockRead != 0 ||
-                   Clock::now() - last_job < kSpinWindow)) {
+    if (stopping_.load(std::memory_order_acquire)) return;
+    // Spin through the window after the last job, then park.
+    if (++spins % kSpinsPerClockRead != 0 ||
+        Clock::now() - last_job < kSpinWindow) {
       spin_pause(spins);
       continue;
     }
     std::unique_lock<std::mutex> lock(mutex_);
-    if (helper) parked_helpers_.fetch_add(1);
-    task_available_.wait(lock, [&] {
-      return stopping_.load(std::memory_order_relaxed) || !tasks_.empty() ||
-             (helper && epoch_of(ctrl_.load()) != seen);
+    parked_helpers_.fetch_add(1);
+    job_available_.wait(lock, [&] {
+      return stopping_.load(std::memory_order_relaxed) ||
+             epoch_of(ctrl_.load()) != seen;
     });
-    if (!helper) continue;
     parked_helpers_.fetch_sub(1, std::memory_order_relaxed);
-    const std::uint64_t ctrl = ctrl_.load(std::memory_order_acquire);
-    if (epoch_of(ctrl) != seen) {
+    if (epoch_of(ctrl_.load(std::memory_order_acquire)) != seen) {
       lock.unlock();
       spread_off(caller_cpu_.load(std::memory_order_relaxed), index);
     }

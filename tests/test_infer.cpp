@@ -1,5 +1,5 @@
 // Tests for the fast inference engine (src/nn/infer.*): bitwise
-// determinism of decoding across kernel backends, KV snapshot/restore
+// determinism of decoding across kernel backends, KV truncate-and-rescore
 // semantics, the renormalized sampling CDF, and the deterministic parallel
 // evaluation harness (serial scores == pooled scores, exactly).
 //
@@ -151,21 +151,22 @@ TEST_F(InferEngine, ResetAndReuseMatchesFreshSessionBitwise) {
   EXPECT_TRUE(bitwise_equal(reused_logits, fresh_logits));
 }
 
+// Scoring several continuations of one prefilled context, rewinding to the
+// context with truncate() in between, is what run_mcq_eval does.
 TEST_F(InferEngine, SnapshotRestoreMatchesReprefillBitwise) {
   Rng rng(24);
   const TransformerModel model(engine_config(), rng);
   const auto context = ramp_tokens(10, model.config().vocab_size, 7);
   const auto cont_a = ramp_tokens(5, model.config().vocab_size, 17);
   const auto cont_b = ramp_tokens(7, model.config().vocab_size, 19);
+  const auto context_len = static_cast<std::int64_t>(context.size());
 
   InferenceSession session(model);
   const std::vector<float> context_logits = session.prefill(context);
-  const InferenceSession::Snapshot snap = session.snapshot();
-  EXPECT_EQ(snap.position, static_cast<std::int64_t>(context.size()));
 
   const double lp_a = continuation_logprob(session, context_logits, cont_a);
-  session.restore(snap);
-  EXPECT_EQ(session.position(), snap.position);
+  session.truncate(context_len);
+  EXPECT_EQ(session.position(), context_len);
   const double lp_b = continuation_logprob(session, context_logits, cont_b);
 
   // The re-prefilling scorer must agree to the last bit.
@@ -175,15 +176,15 @@ TEST_F(InferEngine, SnapshotRestoreMatchesReprefillBitwise) {
             lp_b / static_cast<double>(cont_b.size()));
 }
 
+// Decoding on from a prompt, rewinding to it and decoding again replays
+// the same tokens.
 TEST_F(InferEngine, SnapshotRoundtripReplaysIdenticalDecode) {
   Rng rng(25);
   const TransformerModel model(engine_config(), rng);
   const auto prompt = ramp_tokens(6, model.config().vocab_size, 9);
 
   InferenceSession session(model);
-  std::vector<float> logits = session.prefill(prompt);
-  const InferenceSession::Snapshot snap = session.snapshot();
-  const std::vector<float> logits_at_snap = logits;
+  const std::vector<float> logits_at_prompt = session.prefill(prompt);
 
   auto decode_from = [&](std::vector<float> row) {
     std::vector<TokenId> out;
@@ -195,52 +196,10 @@ TEST_F(InferEngine, SnapshotRoundtripReplaysIdenticalDecode) {
     }
     return out;
   };
-  const auto first_run = decode_from(logits_at_snap);
-  session.restore(snap);
-  const auto second_run = decode_from(logits_at_snap);
+  const auto first_run = decode_from(logits_at_prompt);
+  session.truncate(static_cast<std::int64_t>(prompt.size()));
+  const auto second_run = decode_from(logits_at_prompt);
   EXPECT_EQ(first_run, second_run);
-}
-
-// restore() must reject snapshots it cannot install instead of silently
-// corrupting the KV cache: positions beyond the cache capacity, snapshots
-// taken over a differently-shaped model, and internally inconsistent ones.
-TEST_F(InferEngine, RestoreRejectsOversizedPosition) {
-  Rng rng(26);
-  const TransformerModel model(engine_config(), rng);
-  InferenceSession session(model);
-  session.prefill(ramp_tokens(4, model.config().vocab_size, 7));
-  InferenceSession::Snapshot snap = session.snapshot();
-  snap.position = model.config().max_seq_len + 1;
-  EXPECT_THROW(session.restore(snap), Error);
-  snap.position = -1;
-  EXPECT_THROW(session.restore(snap), Error);
-}
-
-TEST_F(InferEngine, RestoreRejectsSnapshotFromDifferentModelShape) {
-  Rng rng(27);
-  const TransformerModel model(engine_config(), rng);
-  ModelConfig other_config = engine_config();
-  other_config.n_layers = 1;
-  other_config.validate();
-  Rng other_rng(27);
-  const TransformerModel other(other_config, other_rng);
-
-  InferenceSession donor(other);
-  donor.prefill(ramp_tokens(4, other.config().vocab_size, 7));
-  const InferenceSession::Snapshot snap = donor.snapshot();
-
-  InferenceSession session(model);
-  EXPECT_THROW(session.restore(snap), Error);
-}
-
-TEST_F(InferEngine, RestoreRejectsInconsistentCacheSizes) {
-  Rng rng(28);
-  const TransformerModel model(engine_config(), rng);
-  InferenceSession session(model);
-  session.prefill(ramp_tokens(4, model.config().vocab_size, 7));
-  InferenceSession::Snapshot snap = session.snapshot();
-  snap.k.pop_back();
-  EXPECT_THROW(session.restore(snap), Error);
 }
 
 TEST_F(InferEngine, SampleFromProbsSkipsZeroProbabilityTail) {

@@ -205,12 +205,23 @@ TEST_F(QuantKernels, DotBf16AndI8MatchRefBitwise) {
           static_cast<int>(rng.uniform() * 255.0) - 127);
       b[i] = static_cast<float>(rng.gaussian());
     }
-    const double e16 = kernels::ref::dot_bf16(a16.data(), b.data(), n);
-    const double e8 = kernels::ref::dot_i8(a8.data(), b.data(), n);
+    // project() over one weight row is one dot of the dequantized row.
+    const auto k = static_cast<std::int64_t>(n);
+    const float scale = 0.0137F;
+    float e16 = 0.0F;
+    float e8 = 0.0F;
+    kernels::ref::matvec_bf16(a16.data(), b.data(), &e16, 1, k);
+    kernels::ref::matvec_i8(a8.data(), &scale, b.data(), &e8, 1, k);
     for_each_backend([&](const char* backend) {
-      EXPECT_EQ(kernels::dot_bf16(a16.data(), b.data(), n), e16)
+      float y16 = 0.0F;
+      float y8 = 0.0F;
+      kernels::project({DType::kBF16, a16.data(), nullptr, 1, k}, b.data(),
+                       &y16, 1);
+      kernels::project({DType::kI8, a8.data(), &scale, 1, k}, b.data(), &y8,
+                       1);
+      EXPECT_EQ(std::memcmp(&y16, &e16, sizeof(float)), 0)
           << "n=" << n << " backend=" << backend;
-      EXPECT_EQ(kernels::dot_i8(a8.data(), b.data(), n), e8)
+      EXPECT_EQ(std::memcmp(&y8, &e8, sizeof(float)), 0)
           << "n=" << n << " backend=" << backend;
     });
   }

@@ -471,8 +471,9 @@ TEST(RagConcurrency, ConcurrentBatchedRetrievalOnOnePipeline) {
   const auto expected = pipeline.retrieve_batch(queries, 5, nullptr);
 
   // Several client threads share one immutable pipeline and one pool, each
-  // issuing its own pooled batch (per-caller Batch tokens make concurrent
-  // parallel_for safe). Results must match the serial baseline exactly.
+  // issuing its own pooled batch (a parallel_for that finds another
+  // caller's job in flight runs inline, so concurrent callers stay
+  // isolated). Results must match the serial baseline exactly.
   ThreadPool pool(4);
   std::vector<std::thread> clients;
   std::vector<int> mismatches(4, 0);

@@ -514,36 +514,6 @@ TEST(KvTruncate, TruncateValidatesRange) {
   EXPECT_EQ(state.position, 0);
 }
 
-TEST(KvTruncate, TruncateInteractsWithSnapshotRestore) {
-  Rng rng(43);
-  const TransformerModel model(spec_config(), rng);
-  const auto& config = model.config();
-  const auto prompt = ramp_tokens(5, config.vocab_size, 3);
-  const auto cont = ramp_tokens(3, config.vocab_size, 7);
-
-  std::vector<TokenId> full(prompt.begin(), prompt.end());
-  full.insert(full.end(), cont.begin(), cont.end());
-  const auto expected = serial_rows(model, full);
-
-  InferenceSession session(model);
-  session.prefill(prompt);
-  const InferenceSession::Snapshot snap = session.snapshot();
-
-  // Speculate past the snapshot, roll back BELOW it, then restore: the
-  // snapshot must fully reinstall its prefix.
-  const TokenId junk[3] = {1, 2, 3};
-  session.verify(std::span<const TokenId>(junk, 3));
-  session.truncate(2);
-  session.restore(snap);
-  EXPECT_EQ(session.position(), static_cast<std::int64_t>(prompt.size()));
-  for (std::size_t i = 0; i < cont.size(); ++i) {
-    const std::vector<float>& row = session.step(cont[i]);
-    EXPECT_TRUE(rows_equal(std::span<const float>(row.data(), row.size()),
-                           expected[prompt.size() + i]))
-        << "continuation step " << i;
-  }
-}
-
 TEST(KvTruncate, TruncateF16KvRedecodeIsBitwise) {
   Rng rng(44);
   const TransformerModel model(spec_config(), rng);

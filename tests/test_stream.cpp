@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -624,6 +625,81 @@ TEST_P(StreamingMergeTest, PipelineInterruptionLeavesResumableJournal) {
   const StreamingMergeReport report = run_streaming(out, resuming);
   EXPECT_EQ(report.resumed_count, 3u);
   expect_identical(run_in_memory(), out, DType::kF32);
+}
+
+/// Delegates to a real merger but throws on one tensor, so a failure rises
+/// in the merge stage rather than in a reader or the writer.
+class FailingMerger final : public Merger {
+ public:
+  FailingMerger(const Merger& inner, std::string fail_on)
+      : inner_(inner), fail_on_(std::move(fail_on)) {}
+  std::string name() const override { return inner_.name(); }
+  bool requires_base() const override { return inner_.requires_base(); }
+  Tensor merge_tensor(const std::string& tensor_name, const Tensor& chip,
+                      const Tensor& instruct, const Tensor* base,
+                      const MergeOptions& options, Rng& rng) const override {
+    if (tensor_name == fail_on_) CA_THROW("merge of '" << tensor_name << "'");
+    return inner_.merge_tensor(tensor_name, chip, instruct, base, options,
+                               rng);
+  }
+
+ private:
+  const Merger& inner_;
+  std::string fail_on_;
+};
+
+// A merge-stage failure on the k-th tensor must wind the pipeline down and
+// rethrow, at any merge pool width, leaving a journal of complete lines
+// that is a plan-order prefix of at most k tensors and resumes with the
+// real merger to the in-memory bytes.
+TEST_P(StreamingMergeTest, MergeStageFailureLeavesResumableJournal) {
+  prepare();
+  const ShardedTensorSource chip =
+      ShardedTensorSource::open(src_dir_ + "/chip");
+  const ShardedTensorSource instruct =
+      ShardedTensorSource::open(src_dir_ + "/instruct");
+  const ShardedTensorSource base =
+      ShardedTensorSource::open(src_dir_ + "/base");
+  const auto real = create_merger(GetParam().method);
+  constexpr std::size_t kFailAt = 5;
+  const FailingMerger failing(*real, chip.names()[kFailAt]);
+
+  for (const std::size_t pool_size : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(pool_size);
+    StreamingMergeConfig config;
+    config.shard_size_bytes = 4u << 10;
+    config.log_every = 0;
+    config.io_threads = 3;
+    config.prefetch_tensors = 8;
+    config.pool = &pool;
+    const std::string out = dir("out" + std::to_string(pool_size));
+    EXPECT_THROW(merge_streaming(failing, chip, instruct,
+                                 GetParam().needs_base ? &base : nullptr,
+                                 options_, config, out),
+                 Error)
+        << "pool " << pool_size;
+
+    const std::string journal = read_file_bytes(out + "/merge.journal");
+    ASSERT_FALSE(journal.empty());
+    EXPECT_EQ(journal.back(), '\n') << "torn journal line";
+    std::vector<std::string> lines;
+    std::istringstream in(journal);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_GE(lines.size(), 1u);
+    ASSERT_LE(lines.size() - 1, kFailAt) << "pool " << pool_size;
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      EXPECT_EQ(lines[i].substr(lines[i].rfind(' ') + 1), chip.names()[i - 1])
+          << "journal line " << i << ", pool " << pool_size;
+    }
+
+    config.resume = true;
+    const StreamingMergeReport report =
+        merge_streaming(*real, chip, instruct,
+                        GetParam().needs_base ? &base : nullptr, options_,
+                        config, out);
+    EXPECT_EQ(report.resumed_count, lines.size() - 1);
+    expect_identical(run_in_memory(), out, DType::kF32);
+  }
 }
 
 // The prefetch stage verifies every read against the source manifest's

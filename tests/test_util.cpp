@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <ctime>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -267,56 +269,28 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_FALSE(ThreadPool::on_worker_thread());
 }
 
-// Regression for the Batch::cancel() memory-ordering audit: a cross-thread
-// cancel must skip every not-yet-started task (never hang wait()), a worker
-// that observes the flag must also observe writes made before cancel()
-// (release/acquire), and the pool must stay fully usable afterwards. The
-// serving engine relies on this shape to cut queued work short when a
-// request is cancelled mid-flight.
-TEST(ThreadPool, CrossThreadBatchCancelSkipsQueuedWorkAndStaysUsable) {
-  ThreadPool pool(1);  // one worker: the blocker pins the whole pool
-  ThreadPool::Batch batch;
-  std::atomic<bool> blocker_started{false};
-  std::atomic<bool> release_blocker{false};
-  std::atomic<int> ran{0};
-  std::atomic<int> cancel_cause{0};  // written before cancel(); workers
-                                     // observing the flag must see 42
-  pool.submit(batch, [&] {
-    blocker_started.store(true);
-    while (!release_blocker.load()) std::this_thread::yield();
-    ++ran;
-  });
-  while (!blocker_started.load()) std::this_thread::yield();
-  for (int i = 0; i < 50; ++i) {
-    pool.submit(batch, [&] {
-      if (batch.cancelled()) {
-        // acquire on cancelled() pairs with the canceller's release: the
-        // cause written before cancel() must be visible here.
-        EXPECT_EQ(cancel_cause.load(std::memory_order_relaxed), 42);
+// parallel_for runs min(size(), nproc) wide, counting its caller: the
+// pool starts min(size(), nproc) - 1 helpers and no thread beyond them.
+// Blocking each index briefly gives every helper time to join.
+TEST(ThreadPool, ParallelForRunsAtMostSizeWide) {
+  const std::size_t cores =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  for (const std::size_t size : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{4}}) {
+    ThreadPool pool(size);
+    EXPECT_EQ(pool.size(), size);
+    EXPECT_EQ(pool.helpers(), std::min(size, cores) - 1);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    pool.parallel_for(64, [&](std::size_t) {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
       }
-      ++ran;
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
     });
+    EXPECT_LE(threads.size(), std::min(size, cores)) << "size " << size;
   }
-  std::thread canceller([&] {
-    cancel_cause.store(42, std::memory_order_relaxed);
-    batch.cancel();
-    release_blocker.store(true);
-  });
-  canceller.join();
-  batch.wait();  // must not hang: skipped tasks still signal completion
-  EXPECT_TRUE(batch.cancelled());
-  // Only the already-running blocker was guaranteed to run; everything
-  // queued after the cancel was observed is skipped.
-  EXPECT_GE(ran.load(), 1);
-  EXPECT_LE(ran.load(), 51);
-
-  // A fresh batch on the same pool is unaffected.
-  ThreadPool::Batch fresh;
-  std::atomic<int> fresh_ran{0};
-  for (int i = 0; i < 8; ++i) pool.submit(fresh, [&] { ++fresh_ran; });
-  fresh.wait();
-  EXPECT_EQ(fresh_ran.load(), 8);
-  EXPECT_FALSE(fresh.cancelled());
 }
 
 // After a burst of fan-outs the helpers spin for at most one
