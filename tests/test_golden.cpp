@@ -25,6 +25,8 @@
 #include "nn/infer.hpp"
 #include "serve/server.hpp"
 #include "text/tokenizer.hpp"
+#include "train/lora.hpp"
+#include "train/trainer.hpp"
 
 namespace chipalign {
 namespace {
@@ -242,6 +244,63 @@ TEST(Golden, ServedMixedSchedule) {
   }
   shown << "}";
   EXPECT_EQ(counters, kScheduleStats) << "kScheduleStats: " << shown.str();
+}
+
+// -- trained models ----------------------------------------------------------
+// The same micro model after a few full-finetuning steps, then after LoRA
+// finetuning and fold(): pins the training forward, backward, AdamW and the
+// adapter projection, as seen through the greedy stream of the result.
+
+std::vector<TrainExample> golden_dataset() {
+  const std::pair<const char*, const char*> pairs[] = {
+      {"q: fix setup slack\nout: ", "upsize the driver"},
+      {"q: fix hold slack\nout: ", "insert delay cells"},
+      {"q: route the clock\nout: ", "build the clock tree first"},
+      {"q: check drc\nout: ", "run the signoff deck"},
+  };
+  std::vector<TrainExample> dataset;
+  for (const auto& [prompt, answer] : pairs) {
+    dataset.push_back(make_qa_example(prompt, answer, 64));
+  }
+  return dataset;
+}
+
+TrainConfig golden_train_config(std::int64_t steps) {
+  TrainConfig config;
+  config.steps = steps;
+  config.batch_size = 2;
+  config.peak_lr = 5e-3;
+  config.warmup_steps = 2;
+  config.seed = 31;
+  return config;
+}
+
+const std::vector<TokenId> kTrainedFullGreedy = {
+    46, 12, 24, 24, 24, 24, 24, 84, 65, 24, 24, 24, 24, 7,  16, 16,
+    16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 43, 43, 43};
+const std::vector<TokenId> kTrainedLoraGreedy = {
+    64, 86, 64, 64, 86, 64, 64, 64, 64, 58, 24, 24, 24, 7,  16, 81,
+    91, 47, 96, 12, 5,  43, 11, 63, 74, 74, 74, 74, 74, 63, 74, 74};
+
+TEST(Golden, TrainFullThenLoraFold) {
+  TransformerModel model =
+      TransformerModel::from_checkpoint(golden_model().to_checkpoint());
+  const std::vector<TrainExample> dataset = golden_dataset();
+  GenerateOptions options;
+  options.max_new_tokens = 32;
+
+  train_full(model, dataset, golden_train_config(6));
+  expect_generate("kTrainedFullGreedy", model, kPrompt, options,
+                  kTrainedFullGreedy);
+
+  LoraConfig lora;
+  lora.rank = 4;
+  lora.seed = 17;
+  LoraAdapterSet adapters(model, lora);
+  train_lora(model, adapters, dataset, golden_train_config(6));
+  adapters.fold();
+  expect_generate("kTrainedLoraGreedy", model, kPrompt, options,
+                  kTrainedLoraGreedy);
 }
 
 }  // namespace
