@@ -123,9 +123,8 @@ int main() {
   // Fisher-weighted merging (data-based extension baseline): estimate each
   // parent's diagonal Fisher on its own specialty data.
   {
-    TransformerModel chip_model = TransformerModel::from_checkpoint(chip);
-    TransformerModel instruct_model =
-        TransformerModel::from_checkpoint(instruct);
+    TrainableModel chip_model(chip);
+    TrainableModel instruct_model(instruct);
 
     ChipDataConfig chip_data;
     chip_data.max_len = spec.config.max_seq_len;

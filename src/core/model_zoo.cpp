@@ -114,7 +114,7 @@ Checkpoint ModelZoo::chip(const BackboneSpec& spec) {
 
 Checkpoint ModelZoo::build_base(const BackboneSpec& spec) {
   Rng rng(spec.init_seed);
-  TransformerModel model(spec.config, rng);
+  TrainableModel model(spec.config, rng);
 
   PretrainDataConfig data_config;
   data_config.seed = spec.init_seed * 7919 + 1;
@@ -131,7 +131,7 @@ Checkpoint ModelZoo::build_base(const BackboneSpec& spec) {
 }
 
 Checkpoint ModelZoo::build_instruct(const BackboneSpec& spec) {
-  TransformerModel model = TransformerModel::from_checkpoint(base(spec));
+  TrainableModel model(base(spec));
 
   InstructDataConfig data_config;
   data_config.seed = spec.init_seed * 7919 + 2;
@@ -157,7 +157,7 @@ Checkpoint ModelZoo::build_chip(const BackboneSpec& spec) {
     // with a small instruction admixture (OASST analogue).
     data_config.instruct_frac = spec.chip_instruct_frac;
     data_config.repeats_per_fact = 8;
-    TransformerModel model = TransformerModel::from_checkpoint(base(spec));
+    TrainableModel model(base(spec));
     std::vector<TrainExample> dataset =
         build_chip_daft_dataset(facts_, data_config);
     if (spec.chip_instruct_frac > 0.0) {
@@ -184,7 +184,7 @@ Checkpoint ModelZoo::build_chip(const BackboneSpec& spec) {
   }
 
   // Figure 4(a): LoRA DAFT from the instruct model, then fold the adapters.
-  TransformerModel model = TransformerModel::from_checkpoint(instruct(spec));
+  TrainableModel model(instruct(spec));
   LoraConfig lora_config;
   lora_config.rank = 8;
   lora_config.alpha = 16.0;

@@ -44,24 +44,6 @@ void embed_lookup(const Parameter& embed, TokenId token, std::span<float> x) {
   std::copy(row.begin(), row.end(), x.begin());
 }
 
-void rmsnorm_row(std::span<const float> x, std::span<const float> gain,
-                 double eps, std::span<float> y) {
-  double mean_sq = 0.0;
-  for (float v : x) mean_sq += static_cast<double>(v) * v;
-  mean_sq /= static_cast<double>(x.size());
-  const auto r = static_cast<float>(1.0 / std::sqrt(mean_sq + eps));
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] * r * gain[i];
-}
-
-float sigmoid(float x) { return 1.0F / (1.0F + std::exp(-x)); }
-
-/// gate[i] = gate[i] * sigmoid(gate[i]) * up[i] — the SwiGLU combine.
-void swiglu_row(std::span<float> gate, std::span<const float> up) {
-  for (std::size_t i = 0; i < gate.size(); ++i) {
-    gate[i] = gate[i] * sigmoid(gate[i]) * up[i];
-  }
-}
-
 void add_row(std::span<float> x, std::span<const float> delta) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] += delta[i];
 }
@@ -112,6 +94,25 @@ void attention_row(const TransformerModel& model, const SessionState& state,
 }
 
 }  // namespace
+
+float rmsnorm_row(std::span<const float> x, std::span<const float> gain,
+                  double eps, std::span<float> y) {
+  double mean_sq = 0.0;
+  for (float v : x) mean_sq += static_cast<double>(v) * v;
+  mean_sq /= static_cast<double>(x.size());
+  const auto r = static_cast<float>(1.0 / std::sqrt(mean_sq + eps));
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] * r * gain[i];
+  return r;
+}
+
+float sigmoid(float x) { return 1.0F / (1.0F + std::exp(-x)); }
+
+void swiglu_row(std::span<const float> gate, std::span<const float> up,
+                std::span<float> out) {
+  for (std::size_t i = 0; i < gate.size(); ++i) {
+    out[i] = gate[i] * sigmoid(gate[i]) * up[i];
+  }
+}
 
 DecodeScratch::DecodeScratch(const ModelConfig& config,
                              std::int64_t batch_limit)
@@ -265,7 +266,8 @@ void forward(const TransformerModel& model,
             rows);
     project(block.up_proj, scratch.normed.data(), scratch.up.data(), rows);
     for (std::int64_t r = 0; r < rows; ++r) {
-      swiglu_row(row_f(scratch.gate, r, d_ff), row_f(scratch.up, r, d_ff));
+      swiglu_row(row_f(scratch.gate, r, d_ff), row_f(scratch.up, r, d_ff),
+                 row_f(scratch.gate, r, d_ff));
     }
     project(block.down_proj, scratch.gate.data(), scratch.proj.data(), rows);
     for (std::int64_t r = 0; r < rows; ++r) {

@@ -77,4 +77,17 @@ void forward(const TransformerModel& model,
              std::span<const ForwardGroup> groups, DecodeScratch& scratch,
              std::span<float> logits, ThreadPool* pool = nullptr);
 
+// Per-row ops of forward(), shared with the training forward
+// (train/trainable_model.hpp) so both passes have one copy of each.
+
+/// y = x * gain / rms(x) (mean square in fp64); returns the 1/rms factor.
+float rmsnorm_row(std::span<const float> x, std::span<const float> gain,
+                  double eps, std::span<float> y);
+
+float sigmoid(float x);
+
+/// out = gate * sigmoid(gate) * up, the SwiGLU combine; out may alias gate.
+void swiglu_row(std::span<const float> gate, std::span<const float> up,
+                std::span<float> out);
+
 }  // namespace chipalign

@@ -89,10 +89,8 @@ struct GenerateOptions {
   // Speculative decoding (nn/spec_decode.hpp). Greedy acceptance keeps the
   // output byte-identical to non-speculative greedy decoding, so this is a
   // pure throughput knob; it only engages when temperature <= 0.
-  bool speculative = false;    ///< draft+verify instead of one-token steps
-  std::int64_t draft_k = 4;    ///< draft tokens proposed per verify pass
-  std::int64_t ngram_min = 1;  ///< prompt-lookup shortest suffix n-gram
-  std::int64_t ngram_max = 3;  ///< prompt-lookup longest suffix n-gram
+  bool speculative = false;  ///< draft+verify instead of one-token steps
+  std::int64_t draft_k = 4;  ///< draft tokens proposed per verify pass
 };
 
 /// Generates a continuation of `prompt` (encoded with <bos>), stopping at

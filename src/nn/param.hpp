@@ -1,6 +1,6 @@
 #pragma once
 /// \file param.hpp
-/// \brief Trainable parameter: a named value tensor plus its gradient.
+/// \brief Model parameter: a named weight tensor.
 
 #include <string>
 
@@ -9,27 +9,20 @@
 
 namespace chipalign {
 
-/// One trainable tensor. The gradient buffer always matches the value shape
-/// and is accumulated into by backward passes until zero_grad().
-///
-/// TransformerModel::quantize_weights() moves rank-2 weights into `qvalue`
-/// (f16/bf16/int8 storage read directly by the dequantizing kernels) and
-/// frees `value`/`grad`; a quantized parameter is inference-only.
+/// One named weight. TransformerModel::quantize_weights() moves rank-2
+/// weights into `qvalue` (f16/bf16/int8 storage read directly by the
+/// dequantizing kernels) and frees `value`. Gradients are training state
+/// and live in TrainableModel (train/trainable_model.hpp), not here.
 struct Parameter {
   std::string name;
   Tensor value;
-  Tensor grad;
   QuantTensor qvalue;
 
   Parameter() = default;
   Parameter(std::string param_name, Tensor initial)
-      : name(std::move(param_name)),
-        value(std::move(initial)),
-        grad(value.shape()) {}
+      : name(std::move(param_name)), value(std::move(initial)) {}
 
   bool quantized() const { return !qvalue.empty(); }
-
-  void zero_grad() { grad.fill(0.0F); }
 };
 
 }  // namespace chipalign

@@ -142,7 +142,7 @@ std::string generate(const TransformerModel& model, std::string_view prompt,
                      const GenerateOptions& options, bool stop_at_newline) {
   std::optional<PromptLookupDrafter> lookup;
   if (options.speculative && options.temperature <= 0.0) {
-    lookup.emplace(options.ngram_min, options.ngram_max);
+    lookup.emplace();
   }
   return generate_with(model, prompt, options, stop_at_newline,
                        lookup ? &*lookup : nullptr, nullptr);
@@ -156,7 +156,7 @@ std::string speculative_generate(const TransformerModel& model,
   CA_CHECK(options.temperature <= 0.0,
            "speculative_generate is greedy-only (temperature "
                << options.temperature << ")");
-  PromptLookupDrafter lookup(options.ngram_min, options.ngram_max);
+  PromptLookupDrafter lookup;
   return generate_with(model, prompt, options, stop_at_newline,
                        drafter != nullptr ? drafter : &lookup, stats);
 }

@@ -110,9 +110,8 @@ std::vector<TokenId> decode_tokens(InferenceSession& session,
 
 /// generate() (infer.hpp) with a caller-chosen drafter and counters: same
 /// <bos> encoding, stop conditions and budget, byte-identical greedy
-/// output. Uses `drafter` when given, else a
-/// PromptLookupDrafter(options.ngram_min/max). Requires
-/// options.temperature <= 0 (greedy acceptance only).
+/// output. Uses `drafter` when given, else a default PromptLookupDrafter.
+/// Requires options.temperature <= 0 (greedy acceptance only).
 std::string speculative_generate(const TransformerModel& model,
                                  std::string_view prompt,
                                  const GenerateOptions& options = {},

@@ -1,117 +1,10 @@
 #include "nn/transformer.hpp"
 
 #include <cmath>
-#include <memory>
 
-#include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 
 namespace chipalign {
-
-namespace {
-
-float sigmoid(float x) { return 1.0F / (1.0F + std::exp(-x)); }
-
-/// RMSNorm forward over rows of x [T, d]: out = x * gain / rms(row).
-/// Fills inv_rms with 1/rms per row.
-Tensor rmsnorm_forward(const Tensor& x, const Tensor& gain, double eps,
-                       std::vector<float>& inv_rms) {
-  const std::int64_t rows = x.dim(0);
-  const std::int64_t d = x.dim(1);
-  CA_CHECK(gain.numel() == d, "RMSNorm gain size mismatch");
-  Tensor out(x.shape());
-  inv_rms.assign(static_cast<std::size_t>(rows), 0.0F);
-  for (std::int64_t t = 0; t < rows; ++t) {
-    const auto xin = x.row(t);
-    double mean_sq = 0.0;
-    for (float v : xin) mean_sq += static_cast<double>(v) * v;
-    mean_sq /= static_cast<double>(d);
-    const auto r = static_cast<float>(1.0 / std::sqrt(mean_sq + eps));
-    inv_rms[static_cast<std::size_t>(t)] = r;
-    auto yout = out.row(t);
-    const auto g = gain.values();
-    for (std::int64_t i = 0; i < d; ++i) {
-      yout[static_cast<std::size_t>(i)] =
-          xin[static_cast<std::size_t>(i)] * r * g[static_cast<std::size_t>(i)];
-    }
-  }
-  return out;
-}
-
-/// RMSNorm backward: returns dx and accumulates the gain gradient.
-Tensor rmsnorm_backward(const Tensor& x, const std::vector<float>& inv_rms,
-                        Parameter& gain, const Tensor& dy) {
-  const std::int64_t rows = x.dim(0);
-  const std::int64_t d = x.dim(1);
-  Tensor dx(x.shape());
-  const auto g = gain.value.values();
-  auto dg = gain.grad.values();
-  for (std::int64_t t = 0; t < rows; ++t) {
-    const auto xin = x.row(t);
-    const auto dyr = dy.row(t);
-    auto dxr = dx.row(t);
-    const float r = inv_rms[static_cast<std::size_t>(t)];
-    // S = sum_j g_j dy_j x_j r   (all in fp64 for stability)
-    double s = 0.0;
-    for (std::int64_t i = 0; i < d; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      s += static_cast<double>(g[idx]) * dyr[idx] * (xin[idx] * r);
-    }
-    const double s_over_d = s / static_cast<double>(d);
-    for (std::int64_t i = 0; i < d; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const float xr = xin[idx] * r;
-      dxr[idx] = static_cast<float>(
-          r * (static_cast<double>(g[idx]) * dyr[idx] - xr * s_over_d));
-      dg[idx] += dyr[idx] * xr;
-    }
-  }
-  return dx;
-}
-
-/// y = x @ W^T with W stored [out, in].
-Tensor linear_forward(const Tensor& x, const Parameter& w) {
-  return ops::matmul_nt(x, w.value);
-}
-
-/// Accumulates dW += dy^T x and returns dx = dy @ W.
-Tensor linear_backward(const Tensor& x, Parameter& w, const Tensor& dy) {
-  ops::matmul_tn_accum(dy, x, w.grad);
-  return ops::matmul(dy, w.value);
-}
-
-}  // namespace
-
-// -- caches
-// --------------------------------------------------------------------
-
-struct TransformerModel::BlockCache {
-  Tensor x_in;               ///< block input [T, d]
-  std::vector<float> inv_rms1;
-  Tensor normed1;            ///< [T, d]
-  Tensor q;                  ///< post-RoPE [T, d]
-  Tensor k;                  ///< post-RoPE [T, kv_dim]
-  Tensor v;                  ///< [T, kv_dim]
-  Tensor probs;              ///< [n_heads, T, T] causal softmax rows
-  Tensor att_concat;         ///< [T, d] pre-o_proj
-  Tensor x_mid;              ///< after attention residual [T, d]
-  std::vector<float> inv_rms2;
-  Tensor normed2;            ///< [T, d]
-  Tensor gate_pre;           ///< [T, d_ff] pre-SiLU
-  Tensor up_out;             ///< [T, d_ff]
-  Tensor h;                  ///< silu(gate) * up [T, d_ff]
-};
-
-struct TransformerModel::ForwardCache {
-  std::vector<TokenId> tokens;
-  std::vector<BlockCache> blocks;
-  Tensor x_final;            ///< input to the final norm [T, d]
-  std::vector<float> inv_rms_final;
-  Tensor normed_final;       ///< [T, d]
-};
-
-// -- construction
-// ----------------------------------------------------------------
 
 TransformerModel::TransformerModel(ModelConfig config)
     : config_(std::move(config)),
@@ -142,13 +35,6 @@ TransformerModel::TransformerModel(ModelConfig config, Rng& rng)
     : TransformerModel(std::move(config)) {
   init_parameters(rng);
 }
-
-void TransformerModel::discard_forward() { cache_.reset(); }
-
-TransformerModel::~TransformerModel() = default;
-TransformerModel::TransformerModel(TransformerModel&&) noexcept = default;
-TransformerModel& TransformerModel::operator=(TransformerModel&&) noexcept =
-    default;
 
 void TransformerModel::init_parameters(Rng& rng) {
   const auto fill_randn = [&rng](Tensor& t, float stddev) {
@@ -211,10 +97,6 @@ std::vector<const Parameter*> TransformerModel::parameters() const {
   return {mutable_params.begin(), mutable_params.end()};
 }
 
-void TransformerModel::zero_grad() {
-  for (Parameter* p : parameters()) p->zero_grad();
-}
-
 std::int64_t TransformerModel::parameter_count() const {
   std::int64_t total = 0;
   for (const Parameter* p : parameters()) {
@@ -231,295 +113,13 @@ void TransformerModel::quantize_weights(DType dtype) {
   CA_CHECK(weight_dtype_ == DType::kF32,
            "model weights are already quantized (" <<
                dtype_name(weight_dtype_) << ")");
-  cache_.reset();  // any pending training forward is void after this
   for (Parameter* p : parameters()) {
     if (p->value.rank() != 2) continue;  // rmsnorm vectors stay fp32
     p->qvalue = quantize_tensor(p->value, dtype);
     p->value = Tensor();
-    p->grad = Tensor();
   }
   weight_dtype_ = dtype;
 }
-
-// -- forward
-// ---------------------------------------------------------------------
-
-Tensor TransformerModel::forward(const std::vector<TokenId>& tokens) {
-  const auto t_len = static_cast<std::int64_t>(tokens.size());
-  CA_CHECK(weight_dtype_ == DType::kF32,
-           "training forward requires fp32 weights; this model was "
-           "quantized to " << dtype_name(weight_dtype_)
-                           << " for inference-only decode");
-  CA_CHECK(t_len > 0, "forward on empty token sequence");
-  CA_CHECK(t_len <= config_.max_seq_len,
-           "sequence length " << t_len << " exceeds max_seq_len "
-                              << config_.max_seq_len);
-
-  cache_ = std::make_unique<ForwardCache>();
-  cache_->tokens = tokens;
-  cache_->blocks.resize(blocks_.size());
-
-  const std::int64_t d = config_.d_model;
-  const std::int64_t hd = config_.head_dim();
-  const std::int64_t n_heads = config_.n_heads;
-  const std::int64_t n_kv = config_.n_kv_heads;
-  const std::int64_t group = n_heads / n_kv;
-  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-
-  // Embedding lookup.
-  Tensor x({t_len, d});
-  for (std::int64_t t = 0; t < t_len; ++t) {
-    const TokenId id = tokens[static_cast<std::size_t>(t)];
-    CA_CHECK(id >= 0 && id < config_.vocab_size, "token id " << id
-             << " out of vocab");
-    const auto src = embed_.value.row(id);
-    auto dst = x.row(t);
-    for (std::int64_t i = 0; i < d; ++i) {
-      dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(i)];
-    }
-  }
-
-  for (std::size_t layer = 0; layer < blocks_.size(); ++layer) {
-    TransformerBlock& block = blocks_[layer];
-    BlockCache& bc = cache_->blocks[layer];
-    bc.x_in = x;
-
-    bc.normed1 = rmsnorm_forward(bc.x_in, block.input_norm.value,
-                                 config_.norm_eps, bc.inv_rms1);
-
-    bc.q = linear_forward(bc.normed1, block.q_proj);
-    bc.k = linear_forward(bc.normed1, block.k_proj);
-    bc.v = linear_forward(bc.normed1, block.v_proj);
-
-    // RoPE on q (per query head) and k (per kv head).
-    for (std::int64_t t = 0; t < t_len; ++t) {
-      for (std::int64_t h = 0; h < n_heads; ++h) {
-        rotary_.apply(bc.q.row(t).subspan(static_cast<std::size_t>(h * hd),
-                                          static_cast<std::size_t>(hd)),
-                      t);
-      }
-      for (std::int64_t h = 0; h < n_kv; ++h) {
-        rotary_.apply(bc.k.row(t).subspan(static_cast<std::size_t>(h * hd),
-                                          static_cast<std::size_t>(hd)),
-                      t);
-      }
-    }
-
-    // Causal attention per head.
-    bc.probs = Tensor({n_heads, t_len, t_len});
-    bc.att_concat = Tensor({t_len, d});
-    for (std::int64_t h = 0; h < n_heads; ++h) {
-      const std::int64_t kvh = h / group;
-      float* probs_h = bc.probs.data() + h * t_len * t_len;
-      for (std::int64_t i = 0; i < t_len; ++i) {
-        const float* q_i = bc.q.data() + i * d + h * hd;
-        float* p_row = probs_h + i * t_len;
-        // scores for j <= i
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float* k_j = bc.k.data() + j * (n_kv * hd) + kvh * hd;
-          double acc = 0.0;
-          for (std::int64_t u = 0; u < hd; ++u) {
-            acc += static_cast<double>(q_i[u]) * k_j[u];
-          }
-          p_row[j] = static_cast<float>(acc) * scale;
-        }
-        ops::softmax_inplace(std::span<float>(p_row,
-                                              static_cast<std::size_t>(i + 1)));
-        for (std::int64_t j = i + 1; j < t_len; ++j) p_row[j] = 0.0F;
-
-        // out_i = sum_j p_ij v_j
-        float* out_i = bc.att_concat.data() + i * d + h * hd;
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float p = p_row[j];
-          if (p == 0.0F) continue;
-          const float* v_j = bc.v.data() + j * (n_kv * hd) + kvh * hd;
-          for (std::int64_t u = 0; u < hd; ++u) out_i[u] += p * v_j[u];
-        }
-      }
-    }
-
-    const Tensor att_proj = linear_forward(bc.att_concat, block.o_proj);
-    bc.x_mid = ops::add(bc.x_in, att_proj);
-
-    bc.normed2 = rmsnorm_forward(bc.x_mid, block.post_norm.value,
-                                 config_.norm_eps, bc.inv_rms2);
-    bc.gate_pre = linear_forward(bc.normed2, block.gate_proj);
-    bc.up_out = linear_forward(bc.normed2, block.up_proj);
-
-    bc.h = Tensor(bc.gate_pre.shape());
-    {
-      const auto gate = bc.gate_pre.values();
-      const auto up = bc.up_out.values();
-      auto hv = bc.h.values();
-      for (std::size_t i = 0; i < hv.size(); ++i) {
-        hv[i] = gate[i] * sigmoid(gate[i]) * up[i];
-      }
-    }
-    const Tensor mlp_out = linear_forward(bc.h, block.down_proj);
-    x = ops::add(bc.x_mid, mlp_out);
-  }
-
-  cache_->x_final = x;
-  cache_->normed_final = rmsnorm_forward(cache_->x_final, final_norm_.value,
-                                         config_.norm_eps, cache_
-                                             ->inv_rms_final);
-
-  // Tied LM head: logits = normed_final @ embed^T.
-  return ops::matmul_nt(cache_->normed_final, embed_.value);
-}
-
-// -- backward
-// --------------------------------------------------------------------
-
-void TransformerModel::backward(const Tensor& dlogits) {
-  CA_CHECK(cache_ != nullptr, "backward() without a pending forward()");
-  const auto t_len = static_cast<std::int64_t>(cache_->tokens.size());
-  CA_CHECK(dlogits.rank() == 2 && dlogits.dim(0) == t_len &&
-               dlogits.dim(1) == config_.vocab_size,
-           "dlogits shape mismatch");
-
-  const std::int64_t d = config_.d_model;
-  const std::int64_t hd = config_.head_dim();
-  const std::int64_t n_heads = config_.n_heads;
-  const std::int64_t n_kv = config_.n_kv_heads;
-  const std::int64_t group = n_heads / n_kv;
-  const std::int64_t kv_dim = n_kv * hd;
-  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-
-  // LM head (tied weights): both the projection and the embedding gradient.
-  Tensor dnormed_final = ops::matmul(dlogits, embed_.value);
-  ops::matmul_tn_accum(dlogits, cache_->normed_final, embed_.grad);
-
-  Tensor dx = rmsnorm_backward(cache_->x_final, cache_->inv_rms_final,
-                               final_norm_, dnormed_final);
-
-  for (std::size_t layer_plus1 =
-       blocks_.size(); layer_plus1 > 0; --layer_plus1) {
-    const std::size_t layer = layer_plus1 - 1;
-    TransformerBlock& block = blocks_[layer];
-    BlockCache& bc = cache_->blocks[layer];
-
-    // ---- MLP branch ----
-    // dx is the gradient at the block output = x_mid + mlp_out.
-    Tensor dh = linear_backward(bc.h, block.down_proj, dx);
-
-    Tensor dgate_pre(bc.gate_pre.shape());
-    Tensor dup(bc.up_out.shape());
-    {
-      const auto gate = bc.gate_pre.values();
-      const auto up = bc.up_out.values();
-      const auto dhv = dh.values();
-      auto dg = dgate_pre.values();
-      auto du = dup.values();
-      for (std::size_t i = 0; i < dhv.size(); ++i) {
-        const float sg = sigmoid(gate[i]);
-        const float silu = gate[i] * sg;
-        du[i] = dhv[i] * silu;
-        // d silu / d gate = sg * (1 + gate * (1 - sg))
-        dg[i] = dhv[i] * up[i] * sg * (1.0F + gate[i] * (1.0F - sg));
-      }
-    }
-    Tensor dnormed2 = linear_backward(bc.normed2, block.gate_proj, dgate_pre);
-    ops::axpy(1.0F, linear_backward(bc.normed2, block.up_proj, dup).values(),
-              dnormed2.values());
-
-    Tensor dx_mid =
-        rmsnorm_backward(bc.x_mid, bc.inv_rms2, block.post_norm, dnormed2);
-    ops::axpy(1.0F, dx.values(), dx_mid.values());  // residual path
-
-    // ---- attention branch ----
-    Tensor datt_concat = linear_backward(bc.att_concat, block.o_proj, dx_mid);
-
-    Tensor dq({t_len, d});
-    Tensor dk({t_len, kv_dim});
-    Tensor dv({t_len, kv_dim});
-    for (std::int64_t h = 0; h < n_heads; ++h) {
-      const std::int64_t kvh = h / group;
-      const float* probs_h = bc.probs.data() + h * t_len * t_len;
-      std::vector<float> dp(static_cast<std::size_t>(t_len));
-      for (std::int64_t i = 0; i < t_len; ++i) {
-        const float* dout_i = datt_concat.data() + i * d + h * hd;
-        const float* p_row = probs_h + i * t_len;
-
-        // dp_j = dout_i . v_j ; dv_j += p_ij * dout_i
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float* v_j = bc.v.data() + j * kv_dim + kvh * hd;
-          float* dv_j = dv.data() + j * kv_dim + kvh * hd;
-          double acc = 0.0;
-          const float p = p_row[j];
-          for (std::int64_t u = 0; u < hd; ++u) {
-            acc += static_cast<double>(dout_i[u]) * v_j[u];
-            dv_j[u] += p * dout_i[u];
-          }
-          dp[static_cast<std::size_t>(j)] = static_cast<float>(acc);
-        }
-
-        // softmax backward: ds_j = p_j * (dp_j - sum_k dp_k p_k)
-        double inner = 0.0;
-        for (std::int64_t j = 0; j <= i; ++j) {
-          inner +=
-              static_cast<double>(dp[static_cast<std::size_t>(j)]) * p_row[j];
-        }
-        // dq_i += scale * sum_j ds_j k_j ; dk_j += scale * ds_j q_i
-        float* dq_i = dq.data() + i * d + h * hd;
-        const float* q_i = bc.q.data() + i * d + h * hd;
-        for (std::int64_t j = 0; j <= i; ++j) {
-          const float ds =
-              p_row[j] *
-              (dp[static_cast<std::size_t>(j)] - static_cast<float>(inner));
-          if (ds == 0.0F) continue;
-          const float* k_j = bc.k.data() + j * kv_dim + kvh * hd;
-          float* dk_j = dk.data() + j * kv_dim + kvh * hd;
-          const float ds_scaled = ds * scale;
-          for (std::int64_t u = 0; u < hd; ++u) {
-            dq_i[u] += ds_scaled * k_j[u];
-            dk_j[u] += ds_scaled * q_i[u];
-          }
-        }
-      }
-    }
-
-    // Undo RoPE on the gradients (inverse rotation).
-    for (std::int64_t t = 0; t < t_len; ++t) {
-      for (std::int64_t h = 0; h < n_heads; ++h) {
-        rotary_.apply_inverse(
-            dq.row(t).subspan(static_cast<std::size_t>(h * hd),
-                              static_cast<std::size_t>(hd)),
-            t);
-      }
-      for (std::int64_t h = 0; h < n_kv; ++h) {
-        rotary_.apply_inverse(
-            dk.row(t).subspan(static_cast<std::size_t>(h * hd),
-                              static_cast<std::size_t>(hd)),
-            t);
-      }
-    }
-
-    Tensor dnormed1 = linear_backward(bc.normed1, block.q_proj, dq);
-    ops::axpy(1.0F, linear_backward(bc.normed1, block.k_proj, dk).values(),
-              dnormed1.values());
-    ops::axpy(1.0F, linear_backward(bc.normed1, block.v_proj, dv).values(),
-              dnormed1.values());
-
-    Tensor dx_in =
-        rmsnorm_backward(bc.x_in, bc.inv_rms1, block.input_norm, dnormed1);
-    ops::axpy(1.0F, dx_mid.values(), dx_in.values());  // residual path
-    dx = std::move(dx_in);
-  }
-
-  // Embedding scatter-add.
-  for (std::int64_t t = 0; t < t_len; ++t) {
-    const TokenId id = cache_->tokens[static_cast<std::size_t>(t)];
-    auto grad_row = embed_.grad.row(id);
-    const auto dx_row = dx.row(t);
-    for (std::size_t i = 0; i < grad_row.size(); ++i) grad_row[i] += dx_row[i];
-  }
-
-  cache_.reset();
-}
-
-// -- checkpoint interop
-// -----------------------------------------------------------
 
 Checkpoint TransformerModel::to_checkpoint() const {
   std::map<std::string, Tensor> tensors;
@@ -533,15 +133,7 @@ Checkpoint TransformerModel::to_checkpoint() const {
 TransformerModel TransformerModel::from_checkpoint(
     const Checkpoint& checkpoint) {
   TransformerModel model(checkpoint.config());
-  model.load_weights(checkpoint);
-  return model;
-}
-
-void TransformerModel::load_weights(const Checkpoint& checkpoint) {
-  CA_CHECK(weight_dtype_ == DType::kF32,
-           "load_weights on a quantized model; build a fresh model from the "
-           "checkpoint instead");
-  auto params = parameters();
+  auto params = model.parameters();
   CA_CHECK(checkpoint.tensors().size() == params.size(),
            "checkpoint has " << checkpoint.tensors().size()
                              << " tensors, model expects " << params.size());
@@ -552,8 +144,8 @@ void TransformerModel::load_weights(const Checkpoint& checkpoint) {
                         << shape_to_string(src.shape()) << " vs model "
                         << shape_to_string(p->value.shape()));
     p->value = src;
-    p->grad = Tensor(src.shape());
   }
+  return model;
 }
 
 }  // namespace chipalign

@@ -1,6 +1,6 @@
 #pragma once
 /// \file transformer.hpp
-/// \brief LLaMA-style decoder-only transformer with training backward pass.
+/// \brief LLaMA-style decoder-only transformer: config, RoPE cache, weights.
 ///
 /// Architecture (per block): RMSNorm -> causal self-attention with RoPE and
 /// grouped-query heads -> residual -> RMSNorm -> SwiGLU MLP -> residual.
@@ -10,9 +10,11 @@
 /// ("model.layers.N.self_attn.q_proj.weight", ...) so checkpoints look like
 /// miniature versions of the models the paper merges.
 ///
-/// The class supports one in-flight training forward at a time: forward()
-/// stashes activations, backward() consumes them and accumulates parameter
-/// gradients. Inference with a KV cache lives in nn/infer.hpp.
+/// The class holds weights only, fp32 or quantized, and is what every
+/// inference path serves: the forward pass over KV-cached sessions lives in
+/// nn/decode.hpp. Training wraps an fp32 model in TrainableModel
+/// (train/trainable_model.hpp), which owns the gradients and the stashed
+/// activations.
 
 #include <cstdint>
 #include <string>
@@ -38,7 +40,7 @@ struct TransformerBlock {
   Parameter down_proj;    ///< [d, d_ff]
 };
 
-/// Decoder-only transformer with trainable weights.
+/// Decoder-only transformer weights.
 class TransformerModel {
  public:
   /// Randomly initialized model (scaled-normal init).
@@ -47,9 +49,8 @@ class TransformerModel {
   /// Model with all parameters zero (used by from_checkpoint).
   explicit TransformerModel(ModelConfig config);
 
-  ~TransformerModel();
-  TransformerModel(TransformerModel&&) noexcept;
-  TransformerModel& operator=(TransformerModel&&) noexcept;
+  TransformerModel(TransformerModel&&) noexcept = default;
+  TransformerModel& operator=(TransformerModel&&) noexcept = default;
   TransformerModel(const TransformerModel&) = delete;
   TransformerModel& operator=(const TransformerModel&) = delete;
 
@@ -60,11 +61,10 @@ class TransformerModel {
   DType weight_dtype() const { return weight_dtype_; }
 
   /// Quantizes every rank-2 weight (embedding + the nine block matrices)
-  /// into `dtype` storage (kF16 / kBF16 / kI8), freeing the fp32 values and
-  /// gradients; rmsnorm vectors stay fp32. The model becomes
-  /// inference-only: decode reads the quantized storage directly through
-  /// the dequantizing kernels, while forward()/backward() throw. Shrinks
-  /// resident weight bytes 2x (f16/bf16) or ~4x (int8).
+  /// into `dtype` storage (kF16 / kBF16 / kI8), freeing the fp32 values;
+  /// rmsnorm vectors stay fp32. Decode reads the quantized storage directly
+  /// through the dequantizing kernels. Shrinks resident weight bytes 2x
+  /// (f16/bf16) or ~4x (int8).
   void quantize_weights(DType dtype);
 
   /// All parameters in a stable order (embedding, blocks, final norm).
@@ -75,44 +75,17 @@ class TransformerModel {
   const std::vector<TransformerBlock>& blocks() const { return blocks_; }
   const Parameter& final_norm() const { return final_norm_; }
 
-  void zero_grad();
-
   /// Total scalar parameter count.
   std::int64_t parameter_count() const;
-
-  // -- training path ----------------------------------------------------------
-
-  /// Runs the model over a token sequence (length T <= max_seq_len) and
-  /// returns logits [T, vocab]. Stashes activations for backward().
-  Tensor forward(const std::vector<TokenId>& tokens);
-
-  /// Backpropagates from dlogits [T, vocab] (as produced for the most recent
-  /// forward()) into parameter gradients. Throws if no forward is pending.
-  void backward(const Tensor& dlogits);
-
-  /// Drops the pending forward activations without backpropagating (used by
-  /// inference-style evaluations that only need the logits).
-  void discard_forward();
-
-  // -- checkpoint interop
-  // -------------------------------------------------------
 
   /// Snapshot of the weights under LLaMA-style names.
   Checkpoint to_checkpoint() const;
 
-  /// Builds a model from a checkpoint produced by to_checkpoint() (or by the
-  /// merge library). Validates names and shapes.
+  /// Builds an fp32 model from a checkpoint produced by to_checkpoint() (or
+  /// by the merge library). Validates names and shapes.
   static TransformerModel from_checkpoint(const Checkpoint& checkpoint);
 
-  /// Overwrites this model's weights from a conformable checkpoint.
-  void load_weights(const Checkpoint& checkpoint);
-
  private:
-  friend class InferenceSession;
-
-  struct BlockCache;
-  struct ForwardCache;
-
   void init_parameters(Rng& rng);
   void name_parameters();
 
@@ -123,8 +96,6 @@ class TransformerModel {
   std::vector<TransformerBlock> blocks_;
   Parameter final_norm_;  ///< [d]
   DType weight_dtype_ = DType::kF32;
-
-  std::unique_ptr<ForwardCache> cache_;  ///< pending forward activations
 };
 
 }  // namespace chipalign

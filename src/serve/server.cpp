@@ -68,8 +68,7 @@ Server::Server(const TransformerModel& model, ServeConfig config)
     : model_(model),
       config_(std::move(config)),
       cache_(model.config(), config_.prefix_cache_bytes, config_.kv_dtype),
-      scratch_(model.config(), scratch_rows(config_)),
-      drafter_(config_.ngram_min, config_.ngram_max) {
+      scratch_(model.config(), scratch_rows(config_)) {
   CA_CHECK(config_.max_sessions > 0, "ServeConfig.max_sessions must be > 0");
   CA_CHECK(config_.draft_k >= 0,
            "ServeConfig.draft_k must be >= 0, got " << config_.draft_k);

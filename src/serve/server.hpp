@@ -136,10 +136,8 @@ struct ServeConfig {
   // byte-identical to non-speculative decoding (a pure throughput knob).
   // Prefilling and temperature-sampled sessions feed one token per step.
   // The step's scratch holds max_batch * (1 + draft_k) rows.
-  bool speculative = false;    ///< enable draft+verify for greedy sessions
-  std::int64_t draft_k = 4;    ///< draft tokens proposed per verify pass
-  std::int64_t ngram_min = 1;  ///< prompt-lookup shortest suffix n-gram
-  std::int64_t ngram_max = 3;  ///< prompt-lookup longest suffix n-gram
+  bool speculative = false;  ///< enable draft+verify for greedy sessions
+  std::int64_t draft_k = 4;  ///< draft tokens proposed per verify pass
 };
 
 /// One generation request. Prompt tokens are raw ids (use text_request()

@@ -6,14 +6,14 @@
 
 namespace chipalign {
 
-AdamW::AdamW(std::vector<Parameter*> params, AdamWConfig config)
-    : params_(std::move(params)), config_(config) {
-  CA_CHECK(!params_.empty(), "AdamW with no parameters");
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
-  for (const Parameter* p : params_) {
-    m_.emplace_back(p->value.shape());
-    v_.emplace_back(p->value.shape());
+AdamW::AdamW(std::vector<TrainSlot> slots, AdamWConfig config)
+    : slots_(std::move(slots)), config_(config) {
+  CA_CHECK(!slots_.empty(), "AdamW with no parameters");
+  m_.reserve(slots_.size());
+  v_.reserve(slots_.size());
+  for (const TrainSlot& slot : slots_) {
+    m_.emplace_back(slot.value->shape());
+    v_.emplace_back(slot.value->shape());
   }
 }
 
@@ -22,8 +22,8 @@ double AdamW::step() {
 
   // Global gradient norm (for clipping and telemetry).
   double norm_sq = 0.0;
-  for (const Parameter* p : params_) {
-    for (float g : p->grad.values()) {
+  for (const TrainSlot& slot : slots_) {
+    for (float g : slot.grad->values()) {
       norm_sq += static_cast<double>(g) * g;
     }
   }
@@ -38,10 +38,9 @@ double AdamW::step() {
   const double bias2 = 1.0 - std::pow(config_.beta2,
                                       static_cast<double>(step_count_));
 
-  for (std::size_t idx = 0; idx < params_.size(); ++idx) {
-    Parameter& p = *params_[idx];
-    auto values = p.value.values();
-    auto grads = p.grad.values();
+  for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
+    auto values = slots_[idx].value->values();
+    const auto grads = slots_[idx].grad->values();
     auto m = m_[idx].values();
     auto v = v_[idx].values();
     for (std::size_t i = 0; i < values.size(); ++i) {

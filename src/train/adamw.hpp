@@ -6,9 +6,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "nn/param.hpp"
+#include "tensor/tensor.hpp"
 
 namespace chipalign {
+
+/// One tensor an optimizer updates, and the gradient accumulated for it.
+struct TrainSlot {
+  Tensor* value = nullptr;
+  const Tensor* grad = nullptr;
+};
 
 /// AdamW hyperparameters.
 struct AdamWConfig {
@@ -20,13 +26,11 @@ struct AdamWConfig {
   double clip_norm = 1.0;  ///< 0 disables clipping
 };
 
-/// Optimizer over an externally owned parameter list. Moment buffers are
-/// allocated lazily on the first step and keyed by list position, so the
-/// same parameter list (same order) must be passed implicitly via the
-/// constructor-bound pointers.
+/// Optimizer over externally owned value/gradient pairs. Moment buffers are
+/// allocated at construction and keyed by list position.
 class AdamW {
  public:
-  AdamW(std::vector<Parameter*> params, AdamWConfig config);
+  AdamW(std::vector<TrainSlot> slots, AdamWConfig config);
 
   /// Applies one update from the accumulated gradients (does not zero them).
   /// Returns the pre-clip global gradient norm.
@@ -39,7 +43,7 @@ class AdamW {
   std::int64_t step_count() const { return step_count_; }
 
  private:
-  std::vector<Parameter*> params_;
+  std::vector<TrainSlot> slots_;
   AdamWConfig config_;
   std::int64_t step_count_ = 0;
   std::vector<Tensor> m_;  ///< first moments

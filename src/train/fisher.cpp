@@ -5,7 +5,7 @@
 
 namespace chipalign {
 
-Checkpoint estimate_diagonal_fisher(TransformerModel& model,
+Checkpoint estimate_diagonal_fisher(TrainableModel& model,
                                     const std::vector<TrainExample>& dataset,
                                     int max_examples, std::uint64_t seed) {
   CA_CHECK(!dataset.empty(), "Fisher estimation needs a dataset");
@@ -34,9 +34,10 @@ Checkpoint estimate_diagonal_fisher(TransformerModel& model,
     model.backward(loss.dlogits);
     ++contributed;
 
-    for (const Parameter* p : model.parameters()) {
-      auto acc = accum.at(p->name).values();
-      const auto grad = p->grad.values();
+    const std::vector<Parameter*> params = model.parameters();
+    for (std::size_t k = 0; k < params.size(); ++k) {
+      auto acc = accum.at(params[k]->name).values();
+      const auto grad = model.grads()[k].values();
       for (std::size_t j = 0; j < acc.size(); ++j) {
         acc[j] += grad[j] * grad[j];
       }

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "model/checkpoint.hpp"
-#include "nn/transformer.hpp"
+#include "train/trainable_model.hpp"
 #include "train/trainer.hpp"
 
 namespace chipalign {
@@ -23,7 +23,7 @@ namespace chipalign {
 /// Estimates the diagonal empirical Fisher of `model` over up to
 /// `max_examples` examples drawn (seeded) from `dataset`. Examples whose
 /// target mask is all-zero are skipped. Throws if no example contributes.
-Checkpoint estimate_diagonal_fisher(TransformerModel& model,
+Checkpoint estimate_diagonal_fisher(TrainableModel& model,
                                     const std::vector<TrainExample>& dataset,
                                     int max_examples, std::uint64_t seed);
 

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/transformer.hpp"
+#include "train/trainable_model.hpp"
 
 namespace chipalign {
 
@@ -35,10 +35,12 @@ struct LoraConfig {
 
 /// A rank-r adapter pair bound to one model parameter.
 struct LoraAdapter {
-  Parameter* target = nullptr;  ///< the model weight this adapter augments
-  Tensor base;                  ///< frozen copy of the original weight
-  Parameter a;                  ///< [rank, in], gaussian init
-  Parameter b;                  ///< [out, rank], zero init
+  std::size_t target = 0;  ///< index of the augmented weight in parameters()
+  Tensor base;             ///< frozen copy of the original weight
+  Tensor a;                ///< [rank, in], gaussian init
+  Tensor b;                ///< [out, rank], zero init
+  Tensor grad_a;
+  Tensor grad_b;
 };
 
 /// The set of adapters attached to a model for one finetuning run.
@@ -46,13 +48,13 @@ class LoraAdapterSet {
  public:
   /// Snapshots the base weights of every matched parameter and initializes
   /// adapters (A gaussian, B zero => W_eff == W_base initially).
-  LoraAdapterSet(TransformerModel& model, LoraConfig config);
+  LoraAdapterSet(TrainableModel& model, LoraConfig config);
 
   const LoraConfig& config() const { return config_; }
   std::size_t adapter_count() const { return adapters_.size(); }
 
   /// Trainable parameters (all A and B matrices) for the optimizer.
-  std::vector<Parameter*> trainable_parameters();
+  std::vector<TrainSlot> trainable_parameters();
 
   /// Writes W_eff = base + scaling * B A into each target weight. Call
   /// before every forward pass during training.
@@ -79,7 +81,7 @@ class LoraAdapterSet {
   }
 
  private:
-  TransformerModel& model_;
+  TrainableModel& model_;
   LoraConfig config_;
   std::vector<LoraAdapter> adapters_;
 };

@@ -18,7 +18,7 @@ void truncate_example(TrainExample& example, std::int64_t max_len) {
 
 /// Runs forward + loss + backward for one example; returns the loss.
 /// dlogits are scaled by inv_batch so gradients accumulate to a batch mean.
-double train_step_one(TransformerModel& model, const TrainExample& example,
+double train_step_one(TrainableModel& model, const TrainExample& example,
                       float inv_batch) {
   Tensor logits = model.forward(example.tokens);
   LossResult loss = cross_entropy_next_token(logits, example.tokens,
@@ -33,7 +33,7 @@ double train_step_one(TransformerModel& model, const TrainExample& example,
 }
 
 template <typename PrepareFn, typename FinishFn>
-TrainStats run_training(TransformerModel& model,
+TrainStats run_training(TrainableModel& model,
                         const std::vector<TrainExample>& dataset,
                         const TrainConfig& config, AdamW& optimizer,
                         PrepareFn&& prepare_step, FinishFn&& finish_step) {
@@ -99,21 +99,21 @@ TrainExample make_qa_example(std::string_view prompt, std::string_view answer,
   return example;
 }
 
-TrainStats train_full(TransformerModel& model,
+TrainStats train_full(TrainableModel& model,
                       const std::vector<TrainExample>& dataset,
                       const TrainConfig& config) {
   AdamWConfig opt_config;
   opt_config.lr = config.peak_lr;
   opt_config.weight_decay = config.weight_decay;
   opt_config.clip_norm = config.clip_norm;
-  AdamW optimizer(model.parameters(), opt_config);
+  AdamW optimizer(model.train_slots(), opt_config);
 
   return run_training(
       model, dataset, config, optimizer, [&] { model.zero_grad(); },
       [&] { optimizer.step(); });
 }
 
-TrainStats train_lora(TransformerModel& model, LoraAdapterSet& adapters,
+TrainStats train_lora(TrainableModel& model, LoraAdapterSet& adapters,
                       const std::vector<TrainExample>& dataset,
                       const TrainConfig& config) {
   AdamWConfig opt_config;
@@ -137,7 +137,7 @@ TrainStats train_lora(TransformerModel& model, LoraAdapterSet& adapters,
   return stats;
 }
 
-double evaluate_loss(TransformerModel& model,
+double evaluate_loss(TrainableModel& model,
                      const std::vector<TrainExample>& dataset) {
   CA_CHECK(!dataset.empty(), "evaluate_loss on empty dataset");
   double total = 0.0;

@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "nn/transformer.hpp"
 #include "train/adamw.hpp"
 #include "train/lora.hpp"
+#include "train/trainable_model.hpp"
 
 namespace chipalign {
 
@@ -54,18 +54,18 @@ struct TrainStats {
 };
 
 /// Full-parameter finetuning (used for pretraining and the instruct model).
-TrainStats train_full(TransformerModel& model,
+TrainStats train_full(TrainableModel& model,
                       const std::vector<TrainExample>& dataset,
                       const TrainConfig& config);
 
 /// LoRA finetuning (the paper's DAFT recipe). Only adapter parameters are
 /// updated; call adapters.fold() afterwards to bake them in.
-TrainStats train_lora(TransformerModel& model, LoraAdapterSet& adapters,
+TrainStats train_lora(TrainableModel& model, LoraAdapterSet& adapters,
                       const std::vector<TrainExample>& dataset,
                       const TrainConfig& config);
 
 /// Mean loss of the model over a dataset (no gradient updates).
-double evaluate_loss(TransformerModel& model,
+double evaluate_loss(TrainableModel& model,
                      const std::vector<TrainExample>& dataset);
 
 }  // namespace chipalign

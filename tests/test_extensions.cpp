@@ -94,7 +94,7 @@ ModelConfig fisher_config() {
 
 TEST(FisherEstimator, ProducesNonNegativeModelShapedCheckpoint) {
   Rng rng(1);
-  TransformerModel model(fisher_config(), rng);
+  TrainableModel model(fisher_config(), rng);
   std::vector<TrainExample> dataset = {
       make_qa_example("q: a\nout: ", "b", 64),
       make_qa_example("q: c\nout: ", "d", 64),
@@ -113,7 +113,7 @@ TEST(FisherEstimator, ProducesNonNegativeModelShapedCheckpoint) {
 
 TEST(FisherEstimator, DeterministicForSeed) {
   Rng rng(2);
-  TransformerModel model(fisher_config(), rng);
+  TrainableModel model(fisher_config(), rng);
   std::vector<TrainExample> dataset = {
       make_qa_example("q: a\nout: ", "b", 64)};
   const Checkpoint f1 = estimate_diagonal_fisher(model, dataset, 3, 11);
@@ -125,8 +125,8 @@ TEST(FisherEstimator, DeterministicForSeed) {
 
 TEST(FisherEstimator, EndToEndFisherMergeRuns) {
   Rng rng(3);
-  TransformerModel chip_model(fisher_config(), rng);
-  TransformerModel instruct_model(fisher_config(), rng);
+  TrainableModel chip_model(fisher_config(), rng);
+  TrainableModel instruct_model(fisher_config(), rng);
   std::vector<TrainExample> dataset = {
       make_qa_example("q: ping\nout: ", "pong", 64)};
 

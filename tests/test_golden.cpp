@@ -283,14 +283,13 @@ const std::vector<TokenId> kTrainedLoraGreedy = {
     91, 47, 96, 12, 5,  43, 11, 63, 74, 74, 74, 74, 74, 63, 74, 74};
 
 TEST(Golden, TrainFullThenLoraFold) {
-  TransformerModel model =
-      TransformerModel::from_checkpoint(golden_model().to_checkpoint());
+  TrainableModel model(golden_model().to_checkpoint());
   const std::vector<TrainExample> dataset = golden_dataset();
   GenerateOptions options;
   options.max_new_tokens = 32;
 
   train_full(model, dataset, golden_train_config(6));
-  expect_generate("kTrainedFullGreedy", model, kPrompt, options,
+  expect_generate("kTrainedFullGreedy", model.model(), kPrompt, options,
                   kTrainedFullGreedy);
 
   LoraConfig lora;
@@ -299,7 +298,7 @@ TEST(Golden, TrainFullThenLoraFold) {
   LoraAdapterSet adapters(model, lora);
   train_lora(model, adapters, dataset, golden_train_config(6));
   adapters.fold();
-  expect_generate("kTrainedLoraGreedy", model, kPrompt, options,
+  expect_generate("kTrainedLoraGreedy", model.model(), kPrompt, options,
                   kTrainedLoraGreedy);
 }
 

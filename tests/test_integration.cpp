@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/backbones.hpp"
@@ -92,10 +93,11 @@ TEST(RunMerge, DispatchesEveryRegistryMethod) {
     EXPECT_TRUE(merged.all_finite()) << method;
     EXPECT_EQ(merged.names(), base.names()) << method;
     // The merged model must load and run.
-    TransformerModel model = TransformerModel::from_checkpoint(merged);
-    const Tensor logits = model.forward({1, 5, 9});
-    EXPECT_TRUE(logits.all_finite()) << method;
-    model.discard_forward();
+    const TransformerModel model = TransformerModel::from_checkpoint(merged);
+    InferenceSession session(model);
+    for (const float v : session.prefill({1, 5, 9})) {
+      ASSERT_TRUE(std::isfinite(v)) << method;
+    }
   }
 }
 
@@ -116,7 +118,7 @@ TEST(EndToEnd, MiniaturePipelineRuns) {
   config.max_seq_len = 224;
 
   Rng rng(77);
-  TransformerModel base_model(config, rng);
+  TrainableModel base_model(config, rng);
 
   // Abbreviated pretraining.
   PretrainDataConfig pretrain_data;
@@ -133,7 +135,7 @@ TEST(EndToEnd, MiniaturePipelineRuns) {
   const Checkpoint base = base_model.to_checkpoint();
 
   // Instruct finetune.
-  TransformerModel instruct_model = TransformerModel::from_checkpoint(base);
+  TrainableModel instruct_model(base);
   InstructDataConfig instruct_data;
   instruct_data.count = 150;
   instruct_data.max_len = config.max_seq_len;
@@ -146,7 +148,7 @@ TEST(EndToEnd, MiniaturePipelineRuns) {
   const Checkpoint instruct = instruct_model.to_checkpoint();
 
   // LoRA DAFT from the instruct model.
-  TransformerModel chip_model = TransformerModel::from_checkpoint(instruct);
+  TrainableModel chip_model(instruct);
   LoraConfig lora_config;
   lora_config.rank = 4;
   LoraAdapterSet adapters(chip_model, lora_config);

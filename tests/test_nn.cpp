@@ -11,6 +11,7 @@
 #include "nn/transformer.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "train/loss.hpp"
+#include "train/trainable_model.hpp"
 #include "util/error.hpp"
 
 namespace chipalign {
@@ -29,6 +30,24 @@ ModelConfig micro_config() {
   config.validate();
   return config;
 }
+
+// The served model holds weights only and the trainable one is fp32 by
+// construction, so each lacks the other's entry points at compile time.
+template <typename M>
+concept HasTokenForward =
+    requires(M& m, const std::vector<TokenId>& t) { m.forward(t); };
+template <typename M>
+concept HasBackward = requires(M& m, const Tensor& d) { m.backward(d); };
+template <typename M>
+concept HasZeroGrad = requires(M& m) { m.zero_grad(); };
+template <typename M>
+concept HasQuantize = requires(M& m) { m.quantize_weights(DType::kI8); };
+
+static_assert(!HasTokenForward<TransformerModel> &&
+              !HasBackward<TransformerModel> &&
+              !HasZeroGrad<TransformerModel> && HasQuantize<TransformerModel>);
+static_assert(HasTokenForward<TrainableModel> && HasBackward<TrainableModel> &&
+              HasZeroGrad<TrainableModel> && !HasQuantize<TrainableModel>);
 
 TEST(Rotary, ApplyInverseIsIdentity) {
   RotaryCache rope(8, 16, 10000.0);
@@ -85,7 +104,7 @@ TEST(Transformer, ParameterCountMatchesConfigFormula) {
 
 TEST(Transformer, ForwardShapeAndFiniteness) {
   Rng rng(4);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   const std::vector<TokenId> tokens = {1, 5, 7, 3};
   const Tensor logits = model.forward(tokens);
   EXPECT_EQ(logits.dim(0), 4);
@@ -96,7 +115,7 @@ TEST(Transformer, ForwardShapeAndFiniteness) {
 
 TEST(Transformer, ForwardRejectsBadInput) {
   Rng rng(4);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   EXPECT_THROW(model.forward({}), Error);
   EXPECT_THROW(model.forward(std::vector<TokenId>(17, 1)), Error);  // > max_seq
   EXPECT_THROW(model.forward({99}), Error);  // out of vocab
@@ -104,19 +123,18 @@ TEST(Transformer, ForwardRejectsBadInput) {
 
 TEST(Transformer, BackwardWithoutForwardThrows) {
   Rng rng(4);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   EXPECT_THROW(model.backward(Tensor({1, 11})), Error);
 }
 
 TEST(Transformer, CheckpointRoundTripPreservesLogits) {
   Rng rng(5);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   const std::vector<TokenId> tokens = {2, 4, 6};
   const Tensor logits1 = model.forward(tokens);
   model.discard_forward();
 
-  TransformerModel restored =
-      TransformerModel::from_checkpoint(model.to_checkpoint());
+  TrainableModel restored(model.to_checkpoint());
   const Tensor logits2 = restored.forward(tokens);
   restored.discard_forward();
   EXPECT_LT(ops::max_abs_diff(logits1, logits2), 1e-6);
@@ -126,7 +144,7 @@ TEST(Transformer, CheckpointRoundTripPreservesLogits) {
 /// sampled subset of every parameter tensor.
 TEST(Transformer, GradientsMatchFiniteDifferences) {
   Rng rng(6);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   const std::vector<TokenId> tokens = {1, 5, 7, 3, 9, 2};
   std::vector<float> mask(tokens.size(), 1.0F);
   mask[0] = 0.0F;
@@ -148,7 +166,9 @@ TEST(Transformer, GradientsMatchFiniteDifferences) {
 
   Rng pick(7);
   constexpr double kH = 2e-3;
-  for (Parameter* param : model.parameters()) {
+  const std::vector<Parameter*> params = model.parameters();
+  for (std::size_t k = 0; k < params.size(); ++k) {
+    Parameter* param = params[k];
     const std::int64_t numel = param->value.numel();
     const int samples = numel < 5 ? static_cast<int>(numel) : 5;
     for (int s = 0; s < samples; ++s) {
@@ -163,7 +183,7 @@ TEST(Transformer, GradientsMatchFiniteDifferences) {
       param->value[idx] = saved;
 
       const double numeric = (plus - minus) / (2.0 * kH);
-      const double analytic = param->grad[idx];
+      const double analytic = model.grads()[k][idx];
       EXPECT_NEAR(analytic, numeric,
                   std::max(4e-3, 4e-2 * std::abs(analytic)))
           << param->name << "[" << idx << "]";
@@ -173,11 +193,12 @@ TEST(Transformer, GradientsMatchFiniteDifferences) {
 
 TEST(Inference, KvCacheMatchesFullForward) {
   Rng rng(8);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel trainable(micro_config(), rng);
+  const TransformerModel& model = trainable.model();
   const std::vector<TokenId> tokens = {1, 4, 9, 2, 7};
 
-  const Tensor full_logits = model.forward(tokens);
-  model.discard_forward();
+  const Tensor full_logits = trainable.forward(tokens);
+  trainable.discard_forward();
 
   InferenceSession session(model);
   std::vector<float> incremental;
@@ -194,8 +215,8 @@ TEST(Inference, KvCacheMatchesFullForward) {
   // Two sessions in multi-row groups of one forward() call, twice: every
   // row must match its own sequence's full-forward row.
   const std::vector<TokenId> other = {3, 8, 5, 10};
-  const Tensor other_logits = model.forward(other);
-  model.discard_forward();
+  const Tensor other_logits = trainable.forward(other);
+  trainable.discard_forward();
   const auto& config = model.config();
   SessionState a(config, config.max_seq_len);
   SessionState b(config, config.max_seq_len);
@@ -254,15 +275,16 @@ TEST(Inference, CacheOverflowThrows) {
 
 TEST(Inference, SequenceLogprobMatchesManualSum) {
   Rng rng(11);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel trainable(micro_config(), rng);
+  const TransformerModel& model = trainable.model();
   const std::vector<TokenId> context = {1, 4};
   const std::vector<TokenId> continuation = {7, 2};
 
   // Manual: run the full sequence, sum log-softmax at the right positions.
   std::vector<TokenId> all = context;
   all.insert(all.end(), continuation.begin(), continuation.end());
-  const Tensor logits = model.forward(all);
-  model.discard_forward();
+  const Tensor logits = trainable.forward(all);
+  trainable.discard_forward();
   double manual = 0.0;
   for (std::size_t i = 0; i < continuation.size(); ++i) {
     const auto row =
@@ -295,10 +317,11 @@ TEST(Inference, MultiHeadAndGroupedQueryBothRun) {
     ModelConfig config = micro_config();
     config.n_kv_heads = kv_heads;
     Rng rng(20 + kv_heads);
-    TransformerModel model(config, rng);
+    TrainableModel trainable(config, rng);
+    const TransformerModel& model = trainable.model();
     const std::vector<TokenId> tokens = {3, 8, 1, 6};
-    const Tensor full = model.forward(tokens);
-    model.discard_forward();
+    const Tensor full = trainable.forward(tokens);
+    trainable.discard_forward();
     EXPECT_TRUE(full.all_finite());
 
     InferenceSession session(model);
@@ -315,7 +338,7 @@ TEST(Inference, MultiHeadAndGroupedQueryBothRun) {
 
 TEST(Transformer, GradientAccumulatesAcrossBackwardCalls) {
   Rng rng(15);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   const std::vector<TokenId> tokens = {1, 5, 7};
   std::vector<float> mask(tokens.size(), 1.0F);
   mask[0] = 0.0F;
@@ -328,9 +351,9 @@ TEST(Transformer, GradientAccumulatesAcrossBackwardCalls) {
 
   model.zero_grad();
   run_backward();
-  const Tensor once = model.parameters()[0]->grad;
+  const Tensor once = model.grads()[0];
   run_backward();  // no zero_grad: should accumulate
-  const Tensor twice = model.parameters()[0]->grad;
+  const Tensor twice = model.grads()[0];
   EXPECT_LT(ops::max_abs_diff(twice, ops::scaled(once, 2.0F)), 1e-4);
 }
 

@@ -80,45 +80,43 @@ TEST(Loss, ZeroMaskMeansZeroLoss) {
 
 TEST(AdamW, MinimizesQuadratic) {
   // One parameter, loss = 0.5 * ||x - target||^2, grad = x - target.
-  Parameter p("x", Tensor({4}, {5.0F, -3.0F, 2.0F, 0.0F}));
+  Tensor x({4}, {5.0F, -3.0F, 2.0F, 0.0F});
+  Tensor grad(x.shape());
   const Tensor target({4}, {1.0F, 1.0F, 1.0F, 1.0F});
 
   AdamWConfig config;
   config.lr = 0.05;
   config.weight_decay = 0.0;
   config.clip_norm = 0.0;
-  AdamW optimizer({&p}, config);
+  AdamW optimizer({{&x, &grad}}, config);
 
   for (int step = 0; step < 400; ++step) {
-    p.zero_grad();
-    for (std::int64_t i = 0; i < 4; ++i) {
-      p.grad[i] = p.value[i] - target[i];
-    }
+    for (std::int64_t i = 0; i < 4; ++i) grad[i] = x[i] - target[i];
     optimizer.step();
   }
-  EXPECT_LT(ops::max_abs_diff(p.value, target), 0.05);
+  EXPECT_LT(ops::max_abs_diff(x, target), 0.05);
 }
 
 TEST(AdamW, ClipBoundsGradientNorm) {
-  Parameter p("x", Tensor({2}, {0.0F, 0.0F}));
+  Tensor x({2}, {0.0F, 0.0F});
+  Tensor grad({2}, {300.0F, 400.0F});  // norm 500
   AdamWConfig config;
   config.clip_norm = 1.0;
-  AdamW optimizer({&p}, config);
-  p.grad[0] = 300.0F;
-  p.grad[1] = 400.0F;  // norm 500
+  AdamW optimizer({{&x, &grad}}, config);
   const double reported = optimizer.step();
   EXPECT_NEAR(reported, 500.0, 1e-3);  // pre-clip norm is reported
 }
 
 TEST(AdamW, WeightDecayShrinksWeightsWithZeroGrad) {
-  Parameter p("x", Tensor({1}, {10.0F}));
+  Tensor x({1}, {10.0F});
+  const Tensor grad({1});
   AdamWConfig config;
   config.lr = 0.1;
   config.weight_decay = 0.5;
   config.clip_norm = 0.0;
-  AdamW optimizer({&p}, config);
+  AdamW optimizer({{&x, &grad}}, config);
   optimizer.step();  // grad 0: update = wd * w = 5 -> w -= lr * 5
-  EXPECT_NEAR(p.value[0], 10.0F - 0.1F * 5.0F, 1e-4);
+  EXPECT_NEAR(x[0], 10.0F - 0.1F * 5.0F, 1e-4);
 }
 
 TEST(CosineLr, WarmupThenDecay) {
@@ -156,7 +154,7 @@ TEST(Examples, TruncationRespectsMaxLen) {
 
 TEST(Lora, BZeroInitKeepsModelUnchanged) {
   Rng rng(3);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   const Checkpoint before = model.to_checkpoint();
 
   LoraConfig config;
@@ -172,7 +170,7 @@ TEST(Lora, BZeroInitKeepsModelUnchanged) {
 
 TEST(Lora, MatchesFullWeightGradientProjection) {
   Rng rng(4);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   LoraConfig config;
   config.rank = 2;
   config.target_suffixes = {"self_attn.q_proj.weight"};
@@ -191,20 +189,19 @@ TEST(Lora, MatchesFullWeightGradientProjection) {
   adapters.accumulate_adapter_grads();
 
   // Finite-difference check on one A entry.
-  auto trainable = adapters.trainable_parameters();
-  Parameter* a_param = trainable[0];
+  const TrainSlot a_param = adapters.trainable_parameters()[0];
   const std::int64_t idx = 3;
-  const double analytic = a_param->grad[idx];
+  const double analytic = (*a_param.grad)[idx];
 
   auto loss_with = [&](float delta) {
-    const float saved = a_param->value[idx];
-    a_param->value[idx] = saved + delta;
+    const float saved = (*a_param.value)[idx];
+    (*a_param.value)[idx] = saved + delta;
     adapters.materialize();
     const Tensor l = model.forward(example.tokens);
     const LossResult r =
         cross_entropy_next_token(l, example.tokens, example.target_mask);
     model.discard_forward();
-    a_param->value[idx] = saved;
+    (*a_param.value)[idx] = saved;
     adapters.materialize();
     return r.loss;
   };
@@ -215,15 +212,15 @@ TEST(Lora, MatchesFullWeightGradientProjection) {
 
 TEST(Lora, RestoreBaseUndoesAdaptation) {
   Rng rng(5);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   const Checkpoint before = model.to_checkpoint();
 
   LoraConfig config;
   config.rank = 2;
   LoraAdapterSet adapters(model, config);
   // Poke the adapters so W_eff != W_base.
-  for (Parameter* p : adapters.trainable_parameters()) {
-    p->value.fill(0.05F);
+  for (const TrainSlot& slot : adapters.trainable_parameters()) {
+    slot.value->fill(0.05F);
   }
   adapters.materialize();
   const Checkpoint changed = model.to_checkpoint();
@@ -241,7 +238,7 @@ TEST(Lora, RestoreBaseUndoesAdaptation) {
 
 TEST(Lora, RejectsUnmatchedTargets) {
   Rng rng(6);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   LoraConfig config;
   config.target_suffixes = {"no.such.weight"};
   EXPECT_THROW(LoraAdapterSet(model, config), Error);
@@ -249,7 +246,7 @@ TEST(Lora, RejectsUnmatchedTargets) {
 
 TEST(Trainer, FullTrainingReducesLoss) {
   Rng rng(7);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
 
   // Tiny memorization task: one QA pair repeated.
   std::vector<TrainExample> dataset;
@@ -272,7 +269,7 @@ TEST(Trainer, LoraTrainingReducesLoss) {
   // through low-rank updates alone), so first full-train on one mapping,
   // then LoRA-train the reverse mapping.
   Rng rng(8);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   {
     std::vector<TrainExample> warmup;
     for (int i = 0; i < 4; ++i) {
@@ -309,7 +306,7 @@ TEST(Trainer, LoraTrainingReducesLoss) {
 
 TEST(Trainer, RejectsEmptyDataset) {
   Rng rng(9);
-  TransformerModel model(micro_config(), rng);
+  TrainableModel model(micro_config(), rng);
   EXPECT_THROW(train_full(model, {}, TrainConfig{}), Error);
 }
 
