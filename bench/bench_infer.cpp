@@ -35,6 +35,14 @@
 //                    (quantized weights must not change answers wholesale).
 //   rouge_*          ROUGE-L between fp32 and per-dtype greedy generations
 //                    from the same prompt stays above a pinned floor.
+//   served_model_rss_ratio  RSS that TransformerModel::from_checkpoint()
+//                    adds at perfbench's model shape, over the model's
+//                    weight bytes, <= 1.25: a served model holds its
+//                    weights and no training state. A ceiling, not a
+//                    floor, and enforced in every mode.
+//
+// The two sides of decode_speedup and of mcq_speedup are timed alternately
+// rep by rep, best of each, so a swing in host speed reaches both alike.
 //
 // Quantized decode (fp16 / bf16 / int8 weights) is measured per dtype:
 // decode tokens/sec plus a run-to-run bitwise determinism check (fatal on
@@ -50,7 +58,8 @@
 //
 //   bench_infer            full sizes, report only
 //   bench_infer --gate     full sizes, enforce the gates (exit 1 on miss)
-//   bench_infer --quick    tiny sizes, no gates (CI smoke / sanitizers)
+//   bench_infer --quick    tiny sizes, memory gate only (CI smoke /
+//                          sanitizers)
 //   bench_infer --json P   also write the summary object to P
 //   bench_infer --dtype D  fp32|fp16|bf16|int8|all quantized coverage
 //                          (default all; fp32 = skip quantized runs)
@@ -79,6 +88,7 @@
 #include "tensor/quant.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "text/tokenizer.hpp"
+#include "util/mem_probe.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -324,6 +334,25 @@ double best_seconds(int reps, const Fn& fn) {
   return best;
 }
 
+/// Best-of-reps wall times of the two sides of a ratio gate, timed
+/// alternately rep by rep so a swing in host speed reaches both sides
+/// alike.
+template <typename FnA, typename FnB>
+std::pair<double, double> best_seconds_interleaved(int reps, const FnA& fa,
+                                                   const FnB& fb) {
+  double best_a = 1e300;
+  double best_b = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    Timer ta;
+    fa();
+    best_a = std::min(best_a, ta.seconds());
+    Timer tb;
+    fb();
+    best_b = std::min(best_b, tb.seconds());
+  }
+  return {best_a, best_b};
+}
+
 bool scores_equal(const CategoryScores& a, const CategoryScores& b) {
   return a.all == b.all && a.by_category == b.by_category &&
          a.counts == b.counts;
@@ -332,10 +361,13 @@ bool scores_equal(const CategoryScores& a, const CategoryScores& b) {
 struct GateResult {
   std::string name;
   double value = 0.0;
-  double floor = 0.0;
+  double floor = 0.0;  ///< the bound: a ceiling when `at_most` is set
   bool skipped = false;
   std::string skip_reason;
-  bool pass() const { return skipped || value >= floor; }
+  bool at_most = false;
+  bool pass() const {
+    return skipped || (at_most ? value <= floor : value >= floor);
+  }
   /// "pass", "fail", or "skipped (<reason>)" — what the JSON summary's
   /// "gates" object records, and what the trend checker keys off so a
   /// skipped gate's raw value is never treated as a regression.
@@ -351,8 +383,9 @@ void print_gate(const GateResult& g) {
                 g.name.c_str(), g.skip_reason.c_str());
   } else {
     std::printf(
-        "{\"gate\":\"%s\",\"value\":%.2f,\"floor\":%.2f,\"status\":\"%s\"}\n",
-        g.name.c_str(), g.value, g.floor, g.pass() ? "pass" : "fail");
+        "{\"gate\":\"%s\",\"value\":%.2f,\"%s\":%.2f,\"status\":\"%s\"}\n",
+        g.name.c_str(), g.value, g.at_most ? "ceiling" : "floor", g.floor,
+        g.pass() ? "pass" : "fail");
   }
 }
 
@@ -362,9 +395,10 @@ void write_gates_json(std::FILE* f, const std::vector<GateResult>& gates) {
   for (std::size_t i = 0; i < gates.size(); ++i) {
     const GateResult& g = gates[i];
     std::fprintf(f,
-                 "    \"%s\": {\"value\": %.4f, \"floor\": %.4f, "
+                 "    \"%s\": {\"value\": %.4f, \"%s\": %.4f, "
                  "\"status\": \"%s\"}%s\n",
-                 g.name.c_str(), g.value, g.floor, g.status().c_str(),
+                 g.name.c_str(), g.value, g.at_most ? "ceiling" : "floor",
+                 g.floor, g.status().c_str(),
                  i + 1 < gates.size() ? "," : "");
   }
   std::fprintf(f, "  }\n");
@@ -434,6 +468,41 @@ int main(int argc, char** argv) {
               kernels::simd_available() ? "true" : "false",
               std::thread::hardware_concurrency());
 
+  // -- served model RSS per weight byte ----------------------------------------
+  // perfbench's model shape, measured first while the heap holds no freed
+  // blocks that from_checkpoint() could reuse unseen. A served model should
+  // add its weights (plus the small RoPE table) and no training state.
+  GateResult rss_gate{"served_model_rss_ratio", 0.0, 1.25, false, {}, true};
+  {
+    ModelConfig served;
+    served.name = "bench-served-rss";
+    served.vocab_size = tokenizer().vocab_size();
+    served.d_model = 128;
+    served.n_layers = 4;
+    served.n_heads = 4;
+    served.n_kv_heads = 2;
+    served.d_ff = 512;
+    served.max_seq_len = 1024;
+    Rng served_rng(0x55EEDULL);
+    const TransformerModel source(served, served_rng);
+    const Checkpoint checkpoint = source.to_checkpoint();
+    const std::uint64_t before = current_rss_bytes();
+    const TransformerModel model = TransformerModel::from_checkpoint(checkpoint);
+    const std::uint64_t after = current_rss_bytes();
+    const auto weight_bytes =
+        static_cast<double>(model.parameter_count() * sizeof(float));
+    rss_gate.value = static_cast<double>(after - before) / weight_bytes;
+    if (before == 0 || after == 0) {
+      rss_gate.skipped = true;
+      rss_gate.skip_reason = "RSS probe unavailable";
+    }
+    std::printf(
+        "{\"bench\":\"served_model_rss\",\"weight_mb\":%.2f,"
+        "\"rss_growth_mb\":%.2f,\"ratio\":%.3f}\n",
+        weight_bytes / 1e6, static_cast<double>(after - before) / 1e6,
+        rss_gate.value);
+  }
+
   // -- decode tokens/sec: engine vs seed session -----------------------------
   ModelConfig config;
   config.name = "bench-infer";
@@ -461,29 +530,31 @@ int main(int argc, char** argv) {
   const double prefill_tps =
       static_cast<double>(sizes.prefill_tokens) / prefill_s;
 
-  // Greedy decode (argmax feedback) from the prefilled prompt.
-  const double decode_s = best_seconds(sizes.reps, [&] {
-    InferenceSession session(model);
-    std::vector<float> logits = session.prefill(prompt);
-    for (std::int64_t t = 0; t < sizes.decode_tokens; ++t) {
-      const auto next = static_cast<TokenId>(
-          ops::argmax(std::span<const float>(logits.data(), logits.size())));
-      logits = session.step(next);
-    }
-  });
+  // Greedy decode (argmax feedback) from the prefilled prompt, engine and
+  // seed session timed alternately.
+  const auto [decode_s, seed_decode_s] = best_seconds_interleaved(
+      sizes.reps,
+      [&] {
+        InferenceSession session(model);
+        std::vector<float> logits = session.prefill(prompt);
+        for (std::int64_t t = 0; t < sizes.decode_tokens; ++t) {
+          const auto next = static_cast<TokenId>(ops::argmax(
+              std::span<const float>(logits.data(), logits.size())));
+          logits = session.step(next);
+        }
+      },
+      [&] {
+        SeedSession session(model);
+        std::vector<float> logits;
+        for (const TokenId t : prompt) logits = session.step(t);
+        for (std::int64_t t = 0; t < sizes.decode_tokens; ++t) {
+          const auto next = static_cast<TokenId>(ops::argmax(
+              std::span<const float>(logits.data(), logits.size())));
+          logits = session.step(next);
+        }
+      });
   const double decode_tps =
       static_cast<double>(sizes.decode_tokens) / decode_s;
-
-  const double seed_decode_s = best_seconds(sizes.reps, [&] {
-    SeedSession session(model);
-    std::vector<float> logits;
-    for (const TokenId t : prompt) logits = session.step(t);
-    for (std::int64_t t = 0; t < sizes.decode_tokens; ++t) {
-      const auto next = static_cast<TokenId>(
-          ops::argmax(std::span<const float>(logits.data(), logits.size())));
-      logits = session.step(next);
-    }
-  });
   const double seed_decode_tps =
       static_cast<double>(sizes.decode_tokens) / seed_decode_s;
   const double decode_speedup = decode_tps / seed_decode_tps;
@@ -769,12 +840,9 @@ int main(int argc, char** argv) {
 
   CategoryScores snapshot_scores;
   CategoryScores reprefill_scores;
-  const double mcq_snapshot_s = best_seconds(sizes.reps, [&] {
-    snapshot_scores = run_mcq_eval(mcq_model, items);
-  });
-  const double mcq_reprefill_s = best_seconds(sizes.reps, [&] {
-    reprefill_scores = seed_mcq_eval(mcq_model, items);
-  });
+  const auto [mcq_snapshot_s, mcq_reprefill_s] = best_seconds_interleaved(
+      sizes.reps, [&] { snapshot_scores = run_mcq_eval(mcq_model, items); },
+      [&] { reprefill_scores = seed_mcq_eval(mcq_model, items); });
   const double mcq_speedup = mcq_reprefill_s / mcq_snapshot_s;
   const bool mcq_equal = scores_equal(snapshot_scores, reprefill_scores);
   const double mcq_items_per_s =
@@ -835,6 +903,7 @@ int main(int argc, char** argv) {
   const bool avx2_live = kernels::simd_available() &&
                          std::strcmp(kernels::backend_name(), "avx2") == 0;
   std::vector<GateResult> gates;
+  gates.push_back(rss_gate);
   gates.push_back({"decode_speedup", decode_speedup, decode_floor, false, {}});
   if (!avx2_live) {
     gates.back().skipped = true;
@@ -913,7 +982,8 @@ int main(int argc, char** argv) {
         "  \"mcq_speedup\": %.3f,\n"
         "  \"mcq_items_per_s\": %.2f,\n"
         "  \"mcq_scores_equal\": %s,\n"
-        "  \"mcq_acc_fp32\": %.4f,\n",
+        "  \"mcq_acc_fp32\": %.4f,\n"
+        "  \"served_model_rss_ratio\": %.4f,\n",
         kernels::backend_name(), quick ? "true" : "false", prefill_tps,
         decode_tps, seed_decode_tps, decode_speedup, matvec_probe,
         spec_plain_tps, spec_decode_tps, spec_speedup,
@@ -921,7 +991,7 @@ int main(int argc, char** argv) {
         spec_identical ? "true" : "false", mv_t1 * 1e3, mv_t4 * 1e3,
         mv_scaling, int8_matvec_speedup, mcq_snapshot_s, mcq_reprefill_s,
         mcq_speedup, mcq_items_per_s, mcq_equal ? "true" : "false",
-        mcq_acc_fp32);
+        mcq_acc_fp32, rss_gate.value);
     for (const DtypeReport& report : dtype_reports) {
       std::fprintf(f,
                    "  \"decode_tps_%s\": %.1f,\n"
@@ -963,14 +1033,24 @@ int main(int argc, char** argv) {
                  "from plain greedy decode)\n");
     return 1;
   }
+  // The memory gate does not depend on host speed, so it holds in every
+  // mode, not only under --gate.
+  if (!rss_gate.pass()) {
+    std::fprintf(stderr,
+                 "bench_infer: FAILED (served model adds %.2fx its weight "
+                 "bytes of RSS, ceiling %.2fx)\n",
+                 rss_gate.value, rss_gate.floor);
+    return 1;
+  }
 
   if (gate) {
     bool ok = true;
     for (const GateResult& g : gates) {
       print_gate(g);
       if (!g.pass()) {
-        std::fprintf(stderr, "GATE MISS: %s %.2f < required %.2f\n",
-                     g.name.c_str(), g.value, g.floor);
+        std::fprintf(stderr, "GATE MISS: %s %.2f %s required %.2f\n",
+                     g.name.c_str(), g.value, g.at_most ? ">" : "<",
+                     g.floor);
         ok = false;
       }
     }

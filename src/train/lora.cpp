@@ -7,15 +7,15 @@
 namespace chipalign {
 
 LoraAdapterSet::LoraAdapterSet(TrainableModel& model, LoraConfig config)
-    : model_(model), config_(std::move(config)) {
+    : config_(std::move(config)) {
   CA_CHECK(config_.rank > 0, "LoRA rank must be positive");
   CA_CHECK(config_.alpha > 0.0, "LoRA alpha must be positive");
   CA_CHECK(!config_.target_suffixes.empty(), "LoRA needs at least one target");
 
   Rng rng(config_.seed);
-  const std::vector<Parameter*> params = model_.parameters();
+  const std::vector<Parameter*> params = model.parameters();
   for (std::size_t i = 0; i < params.size(); ++i) {
-    const Parameter* p = params[i];
+    Parameter* p = params[i];
     bool matched = false;
     for (const std::string& suffix : config_.target_suffixes) {
       if (ends_with(p->name, suffix)) {
@@ -28,7 +28,8 @@ LoraAdapterSet::LoraAdapterSet(TrainableModel& model, LoraConfig config)
              "LoRA target '" << p->name << "' is not a matrix");
 
     LoraAdapter adapter;
-    adapter.target = i;
+    adapter.target = p;
+    adapter.target_grad = &model.grads()[i];
     adapter.base = p->value;
     const std::int64_t out_dim = p->value.dim(0);
     const std::int64_t in_dim = p->value.dim(1);
@@ -53,19 +54,18 @@ std::vector<TrainSlot> LoraAdapterSet::trainable_parameters() {
 
 void LoraAdapterSet::materialize() {
   const auto scale = static_cast<float>(scaling());
-  const std::vector<Parameter*> params = model_.parameters();
   for (LoraAdapter& adapter : adapters_) {
     // W_eff = base + scale * B A  (B [out, r], A [r, in])
     Tensor delta = ops::matmul(adapter.b, adapter.a);
     ops::scale(delta.values(), scale);
-    params[adapter.target]->value = ops::add(adapter.base, delta);
+    adapter.target->value = ops::add(adapter.base, delta);
   }
 }
 
 void LoraAdapterSet::accumulate_adapter_grads() {
   const auto scale = static_cast<float>(scaling());
   for (LoraAdapter& adapter : adapters_) {
-    const Tensor& dw = model_.grads()[adapter.target];  // [out, in]
+    const Tensor& dw = *adapter.target_grad;  // [out, in]
     // dB += scale * dW A^T : [out, in] x [in, r]
     Tensor db = ops::matmul_nt(dw, adapter.a);  // A [r, in] -> A^T
     ops::scale(db.values(), scale);
@@ -86,10 +86,7 @@ void LoraAdapterSet::zero_grad() {
 }
 
 void LoraAdapterSet::restore_base() {
-  const std::vector<Parameter*> params = model_.parameters();
-  for (LoraAdapter& adapter : adapters_) {
-    params[adapter.target]->value = adapter.base;
-  }
+  for (LoraAdapter& adapter : adapters_) adapter.target->value = adapter.base;
 }
 
 void LoraAdapterSet::fold() {

@@ -8,10 +8,12 @@
 ///
 ///   W_eff = W_base + (alpha / rank) * B @ A
 ///
-/// Training materializes W_eff into the model before each forward pass and
-/// projects the resulting full-weight gradient back onto A and B (exact,
-/// because W_eff is linear in both). fold() bakes the adapters into the
-/// weights, producing the merged "EDA model" checkpoint of Figure 4(a).
+/// Adapters attach to a TrainableModel. Training materializes W_eff into
+/// its weights before each forward pass and projects the resulting
+/// full-weight gradient (the model's grads()) back onto A and B, whose
+/// values and gradients the adapter set owns (exact, because W_eff is
+/// linear in both). fold() bakes the adapters into the weights, producing
+/// the merged "EDA model" checkpoint of Figure 4(a).
 
 #include <cstdint>
 #include <string>
@@ -35,10 +37,11 @@ struct LoraConfig {
 
 /// A rank-r adapter pair bound to one model parameter.
 struct LoraAdapter {
-  std::size_t target = 0;  ///< index of the augmented weight in parameters()
-  Tensor base;             ///< frozen copy of the original weight
-  Tensor a;                ///< [rank, in], gaussian init
-  Tensor b;                ///< [out, rank], zero init
+  Parameter* target = nullptr;          ///< the model weight augmented
+  const Tensor* target_grad = nullptr;  ///< its gradient in the model
+  Tensor base;                          ///< frozen copy of the weight
+  Tensor a;                             ///< [rank, in], gaussian init
+  Tensor b;                             ///< [out, rank], zero init
   Tensor grad_a;
   Tensor grad_b;
 };
@@ -47,7 +50,8 @@ struct LoraAdapter {
 class LoraAdapterSet {
  public:
   /// Snapshots the base weights of every matched parameter and initializes
-  /// adapters (A gaussian, B zero => W_eff == W_base initially).
+  /// adapters (A gaussian, B zero => W_eff == W_base initially). The
+  /// adapters point into `model`, which must outlive the set.
   LoraAdapterSet(TrainableModel& model, LoraConfig config);
 
   const LoraConfig& config() const { return config_; }
@@ -60,8 +64,8 @@ class LoraAdapterSet {
   /// before every forward pass during training.
   void materialize();
 
-  /// Projects the full-weight gradients (accumulated by model.backward into
-  /// the target parameters) onto the adapter gradients:
+  /// Projects the full-weight gradients (the model's grads() of the target
+  /// parameters, accumulated by backward()) onto the adapter gradients:
   ///   dA += scaling * B^T dW,   dB += scaling * dW A^T.
   /// Call after backward passes, before the optimizer step.
   void accumulate_adapter_grads();
@@ -81,7 +85,6 @@ class LoraAdapterSet {
   }
 
  private:
-  TrainableModel& model_;
   LoraConfig config_;
   std::vector<LoraAdapter> adapters_;
 };
