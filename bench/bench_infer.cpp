@@ -468,7 +468,7 @@ int main(int argc, char** argv) {
               kernels::simd_available() ? "true" : "false",
               std::thread::hardware_concurrency());
 
-  // -- served model RSS per weight byte ----------------------------------------
+  // -- served model RSS per weight byte --------------------------------------
   // perfbench's model shape, measured first while the heap holds no freed
   // blocks that from_checkpoint() could reuse unseen. A served model should
   // add its weights (plus the small RoPE table) and no training state.
@@ -487,11 +487,14 @@ int main(int argc, char** argv) {
     const TransformerModel source(served, served_rng);
     const Checkpoint checkpoint = source.to_checkpoint();
     const std::uint64_t before = current_rss_bytes();
-    const TransformerModel model = TransformerModel::from_checkpoint(checkpoint);
+    const TransformerModel model =
+        TransformerModel::from_checkpoint(checkpoint);
     const std::uint64_t after = current_rss_bytes();
     const auto weight_bytes =
         static_cast<double>(model.parameter_count() * sizeof(float));
-    rss_gate.value = static_cast<double>(after - before) / weight_bytes;
+    const double growth =
+        static_cast<double>(after) - static_cast<double>(before);
+    rss_gate.value = growth / weight_bytes;
     if (before == 0 || after == 0) {
       rss_gate.skipped = true;
       rss_gate.skip_reason = "RSS probe unavailable";
@@ -499,8 +502,7 @@ int main(int argc, char** argv) {
     std::printf(
         "{\"bench\":\"served_model_rss\",\"weight_mb\":%.2f,"
         "\"rss_growth_mb\":%.2f,\"ratio\":%.3f}\n",
-        weight_bytes / 1e6, static_cast<double>(after - before) / 1e6,
-        rss_gate.value);
+        weight_bytes / 1e6, growth / 1e6, rss_gate.value);
   }
 
   // -- decode tokens/sec: engine vs seed session -----------------------------
