@@ -963,6 +963,7 @@ int main(int argc, char** argv) {
         f,
         "{\n"
         "  \"backend\": \"%s\",\n"
+        "  \"nproc\": %u,\n"
         "  \"quick\": %s,\n"
         "  \"prefill_tps\": %.1f,\n"
         "  \"decode_tps\": %.1f,\n"
@@ -986,7 +987,8 @@ int main(int argc, char** argv) {
         "  \"mcq_scores_equal\": %s,\n"
         "  \"mcq_acc_fp32\": %.4f,\n"
         "  \"served_model_rss_ratio\": %.4f,\n",
-        kernels::backend_name(), quick ? "true" : "false", prefill_tps,
+        kernels::backend_name(), std::thread::hardware_concurrency(),
+        quick ? "true" : "false", prefill_tps,
         decode_tps, seed_decode_tps, decode_speedup, matvec_probe,
         spec_plain_tps, spec_decode_tps, spec_speedup,
         spec_stats.accept_len_mean(), spec_stats.draft_hit_rate(),

@@ -14,10 +14,13 @@
 //                           paths cheaply (CI smoke / sanitizer builds)
 //
 // A project_probe line per (weight dtype, served shape, row count) reports
-// microseconds per activation row and GFLOP/s of kernels::project, and a
+// microseconds per activation row and GFLOP/s of kernels::project; an
+// attend_probe line per (KV dtype, key count) the one-thread GFLOP/s of
+// kernels::attend at perfbench's head shape; an attend_share line the share
+// of a 16-row forward() at position 200 spent in attention; and a
 // dispatch_probe line the p50 / p90 microseconds of an empty
-// ThreadPool::parallel_for over 4 indices on the global pool; neither is
-// gated.
+// ThreadPool::parallel_for over 4 indices on the global pool. None is
+// gated; attend results are checked against kernels::ref like every case.
 //
 // Gate floors: dot, matmul_nt and the fused scaled_sum (vs the seed's
 // scale+scale+add composition) must be >= 3x; axpy must be >= 1.15x. axpy
@@ -31,10 +34,15 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "nn/decode.hpp"
+#include "nn/transformer.hpp"
+#include "tensor/half.hpp"
 #include "tensor/kernels/kernels.hpp"
+#include "text/tokenizer.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -314,6 +322,133 @@ int main(int argc, char** argv) {
             2.0 * static_cast<double>(macs) * 1e-3 / call_us);
       }
     }
+  }
+
+  // attend() probe (ungated) ------------------------------------------------
+  // perfbench's head shape (head_dim 32, 4 query heads over 2 KV heads) on
+  // one thread. GFLOP/s counts the score dots and the value mix, 4 *
+  // n_heads * head_dim flops per key; the softmax is not counted.
+  const kernels::AttendShape heads{4, 2, 32};
+  const std::int64_t kv_dim = heads.n_kv_heads * heads.head_dim;
+  const std::int64_t att_width = heads.n_heads * heads.head_dim;
+  {
+    const std::int64_t max_keys = 400;
+    const auto cache = static_cast<std::size_t>(max_keys * kv_dim);
+    const std::vector<float> kf = random_vec(cache, rng);
+    const std::vector<float> vf = random_vec(cache, rng);
+    std::vector<std::uint16_t> kh(cache);
+    std::vector<std::uint16_t> vh(cache);
+    for (std::size_t i = 0; i < cache; ++i) {
+      kh[i] = f32_to_f16_bits(kf[i]);
+      vh[i] = f32_to_f16_bits(vf[i]);
+    }
+    const std::vector<float> q =
+        random_vec(static_cast<std::size_t>(att_width), rng);
+    std::vector<float> scores(static_cast<std::size_t>(max_keys));
+    std::vector<float> out(static_cast<std::size_t>(att_width));
+    std::vector<float> expected(out.size());
+    for (const DType dtype : {DType::kF32, DType::kF16}) {
+      const bool half = dtype == DType::kF16;
+      const kernels::KvView k{dtype, half ? static_cast<const void*>(kh.data())
+                                          : kf.data(),
+                              kv_dim};
+      const kernels::KvView v{dtype, half ? static_cast<const void*>(vh.data())
+                                          : vf.data(),
+                              kv_dim};
+      for (const std::int64_t n_keys : {100, 200, 400}) {
+        const std::int64_t flops = 4 * att_width * n_keys;
+        const std::int64_t calls =
+            std::max<std::int64_t>(1, (quick ? 1 << 18 : 1 << 26) / flops);
+        const double ms = best_ms(sizes.mat_reps + 2, [&] {
+          for (std::int64_t c = 0; c < calls; ++c) {
+            kernels::attend(heads, q.data(), k, v, n_keys, scores.data(),
+                            out.data());
+          }
+        });
+        kernels::ref::attend(heads, q.data(), k, v, n_keys, scores.data(),
+                             expected.data());
+        check_exact(std::memcmp(out.data(), expected.data(),
+                                out.size() * sizeof(float)) == 0,
+                    "attend");
+        const double call_us = ms * 1e3 / static_cast<double>(calls);
+        std::printf(
+            "{\"bench\":\"attend_probe\",\"kv_dtype\":\"%s\","
+            "\"head_dim\":%lld,\"heads\":%lld,\"kv_heads\":%lld,"
+            "\"keys\":%lld,\"us_per_call\":%.3f,\"gflops\":%.2f}\n",
+            dtype_name(dtype).c_str(), static_cast<long long>(heads.head_dim),
+            static_cast<long long>(heads.n_heads),
+            static_cast<long long>(heads.n_kv_heads),
+            static_cast<long long>(n_keys), call_us,
+            static_cast<double>(flops) * 1e-3 / call_us);
+      }
+    }
+  }
+
+  // Attention's share of a served step (ungated) ----------------------------
+  // perfbench's model (d 128, 4 layers, 4/2 heads, d_ff 512, fp32 weights
+  // and KV): 16 sessions, one token each, at position 200, through
+  // forward() with the projections fanned across the global pool and
+  // attention on the caller, as a serving step runs them. attend_ms re-runs
+  // that step's 16 x 4 attend() calls on the same caches.
+  {
+    ModelConfig config;
+    config.name = "bench-kernels-step";
+    config.vocab_size = tokenizer().vocab_size();
+    config.d_model = 128;
+    config.n_layers = 4;
+    config.n_heads = heads.n_heads;
+    config.n_kv_heads = heads.n_kv_heads;
+    config.d_ff = 512;
+    config.max_seq_len = 1024;
+    Rng model_rng(0xA77E4DULL);
+    const TransformerModel model(config, model_rng);
+    const std::int64_t rows = 16;
+    const std::int64_t pos = 200;
+    std::vector<SessionState> states;
+    states.reserve(static_cast<std::size_t>(rows));
+    std::vector<TokenId> tokens;
+    std::vector<ForwardGroup> groups;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      SessionState& state = states.emplace_back(config, pos + 1);
+      for (std::int64_t l = 0; l < config.n_layers; ++l) {
+        for (std::int64_t p = 0; p < pos; ++p) {
+          const auto row = random_vec(static_cast<std::size_t>(kv_dim), rng);
+          state.store_k_row(l, p, row.data());
+          state.store_v_row(l, p, row.data());
+        }
+      }
+      state.position = pos;
+      tokens.push_back(static_cast<TokenId>(r + 1));
+    }
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      groups.push_back(
+          {&states[ri], std::span<const TokenId>(&tokens[ri], 1)});
+    }
+    DecodeScratch scratch(config, rows);
+    std::vector<float> logits(
+        static_cast<std::size_t>(rows * config.vocab_size));
+    const int reps = quick ? 3 : 20;
+    const double forward_ms = best_ms(reps, [&] {
+      forward(model, groups, scratch, logits);
+      for (SessionState& state : states) state.truncate(pos);
+    });
+    std::vector<float> scores(static_cast<std::size_t>(pos + 1));
+    const double attend_ms = best_ms(reps, [&] {
+      for (std::int64_t l = 0; l < config.n_layers; ++l) {
+        for (std::int64_t r = 0; r < rows; ++r) {
+          const SessionState& state = states[static_cast<std::size_t>(r)];
+          kernels::attend(heads, scratch.q.data() + r * att_width,
+                          state.k_view(l), state.v_view(l), pos + 1,
+                          scores.data(), scratch.att.data() + r * att_width);
+        }
+      }
+    });
+    std::printf(
+        "{\"bench\":\"attend_share\",\"rows\":%lld,\"position\":%lld,"
+        "\"forward_ms\":%.3f,\"attend_ms\":%.3f,\"share\":%.3f}\n",
+        static_cast<long long>(rows), static_cast<long long>(pos), forward_ms,
+        attend_ms, attend_ms / forward_ms);
   }
 
   // parallel_for dispatch probe (ungated) -----------------------------------

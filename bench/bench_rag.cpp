@@ -31,9 +31,11 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rag/retrieval.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -321,7 +323,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_rag: cannot write %s\n", json_path);
       return 2;
     }
-    std::fprintf(f, "{\n  \"quick\": %s,\n", quick ? "true" : "false");
+    std::fprintf(f,
+                 "{\n  \"backend\": \"%s\",\n  \"nproc\": %u,\n"
+                 "  \"quick\": %s,\n",
+                 kernels::backend_name(), std::thread::hardware_concurrency(),
+                 quick ? "true" : "false");
     for (const TierReport& r : reports) {
       std::fprintf(f,
                    "  \"docs%zu\": {\"build_s\": %.3f, \"save_s\": %.3f, "

@@ -544,8 +544,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_serve: cannot write %s\n", json_path);
       return 2;
     }
-    std::fprintf(f, "{\n  \"backend\": \"%s\",\n  \"quick\": %s,\n",
-                 kernels::backend_name(), quick ? "true" : "false");
+    std::fprintf(f,
+                 "{\n  \"backend\": \"%s\",\n  \"nproc\": %u,\n"
+                 "  \"quick\": %s,\n",
+                 kernels::backend_name(), std::thread::hardware_concurrency(),
+                 quick ? "true" : "false");
     for (std::size_t i = 0; i < sizes.widths.size(); ++i) {
       std::fprintf(f, "  \"tokens_per_s_batch%lld\": %.1f,\n",
                    static_cast<long long>(sizes.widths[i]), width_tps[i]);

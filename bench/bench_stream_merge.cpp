@@ -45,6 +45,7 @@
 #include "stream/shard_writer.hpp"
 #include "stream/streaming_merge.hpp"
 #include "stream/tensor_source.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/hash.hpp"
@@ -328,6 +329,8 @@ int main(int argc, char** argv) {
       json << "{\n"
            << "  \"bench\": \"stream_merge\",\n"
            << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n"
+           << "  \"backend\": \"" << kernels::backend_name() << "\",\n"
+           << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
            << "  \"method\": \"" << method << "\",\n"
            << "  \"tensor_count\": " << bench.tensor_count << ",\n"
            << "  \"pipelined_best_s\": " << best_pipelined << ",\n"

@@ -12,6 +12,9 @@ Rules, in order:
 
   * mode guard     a quick baseline is only comparable to a quick run (and
                    full to full); a mismatch is an error, not a comparison.
+  * host guard     likewise when both sides record the host (`nproc`, the
+                   kernel `backend`) and it differs; a side that does not
+                   record a key gets a note, not a failure.
   * throughput     tokens/s- and queries/s-shaped metrics must stay within
                    15% of baseline (fresh >= 0.85 * baseline) — wide enough
                    that best-of-N absorbs shared-runner noise, strict
@@ -101,6 +104,10 @@ QUALITY_RULES = [
     ("*accept_len", 0.98),
     ("*draft_hit_rate", 0.98),
 ]
+
+# Host keys the summaries record; a baseline is comparable only on the host
+# class it was taken on.
+HOST_KEYS = ["nproc", "backend"]
 
 BOOLEAN_KEYS = [
     "mcq_scores_equal",
@@ -205,9 +212,26 @@ def compare_file(name, fresh, baseline, failures, notes, factor=1.0):
         )
         return
 
+    host_mismatch = False
+    for key in HOST_KEYS:
+        if key not in baseline or key not in fresh:
+            side = "baseline" if key not in baseline else "fresh summary"
+            notes.append(f"{name}: {side} records no {key!r}; host not "
+                         "compared on it")
+            continue
+        if fresh[key] != baseline[key]:
+            failures.append(
+                f"{name}: host mismatch on {key} (fresh {fresh[key]!r} vs "
+                f"baseline {baseline[key]!r}) — regenerate the baseline on "
+                "this host"
+            )
+            host_mismatch = True
+    if host_mismatch:
+        return
+
     fresh_flat = dict(flatten(fresh))
     for key, base_value in flatten(baseline):
-        if key in ("backend", "quick", "mode", "method"):
+        if key in ("quick", "mode", "method", *HOST_KEYS):
             continue
         if key not in fresh_flat:
             failures.append(f"{name}: tracked metric '{key}' disappeared")

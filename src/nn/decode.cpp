@@ -5,7 +5,6 @@
 
 #include "tensor/kernels/kernels.hpp"
 #include "tensor/quant.hpp"
-#include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -46,51 +45,6 @@ void embed_lookup(const Parameter& embed, TokenId token, std::span<float> x) {
 
 void add_row(std::span<float> x, std::span<const float> delta) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] += delta[i];
-}
-
-/// Causal GQA attention for one session at `pos` in `layer`; k/v for `pos`
-/// must already be written (RoPE'd and dtype-converted) into the state's
-/// cache. Reads q [d], writes att [d] using scores [>= pos+1] as scratch.
-/// An fp16 cache swaps dot/axpy for their exactly-dequantizing fp16
-/// variants.
-void attention_row(const TransformerModel& model, const SessionState& state,
-                   std::int64_t layer, std::int64_t pos,
-                   std::span<const float> q, std::span<float> att,
-                   std::span<float> scores) {
-  const auto& config = model.config();
-  const std::int64_t hd = config.head_dim();
-  const std::int64_t n_heads = config.n_heads;
-  const std::int64_t group = n_heads / config.n_kv_heads;
-  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-  const bool half_kv = state.kv_dtype == DType::kF16;
-  const float* layer_k = half_kv ? nullptr : state.k_at(layer, 0);
-  const float* layer_v = half_kv ? nullptr : state.v_at(layer, 0);
-  const std::uint16_t* layer_k16 = half_kv ? state.k16_at(layer, 0) : nullptr;
-  const std::uint16_t* layer_v16 = half_kv ? state.v16_at(layer, 0) : nullptr;
-
-  std::fill(att.begin(), att.end(), 0.0F);
-  for (std::int64_t h = 0; h < n_heads; ++h) {
-    const std::int64_t kvh = h / group;
-    const float* q_h = q.data() + h * hd;
-    const std::int64_t head_off = kvh * hd;
-    if (half_kv) {
-      ops::attention_scores_f16(q_h, layer_k16 + head_off, state.kv_dim,
-                                pos + 1, hd, scale, scores.data());
-    } else {
-      ops::attention_scores(q_h, layer_k + head_off, state.kv_dim, pos + 1,
-                            hd, scale, scores.data());
-    }
-    ops::softmax_inplace(
-        std::span<float>(scores.data(), static_cast<std::size_t>(pos + 1)));
-    float* att_h = att.data() + h * hd;
-    if (half_kv) {
-      ops::attention_mix_f16(scores.data(), layer_v16 + head_off,
-                             state.kv_dim, pos + 1, hd, att_h);
-    } else {
-      ops::attention_mix(scores.data(), layer_v + head_off, state.kv_dim,
-                         pos + 1, hd, att_h);
-    }
-  }
 }
 
 }  // namespace
@@ -236,14 +190,17 @@ void forward(const TransformerModel& model,
       state.store_k_row(l, pos, k_new);
       state.store_v_row(l, pos, scratch.v_new.data() + ri * kv);
     }
-    // Wave 2: attention, once every row of every group is in its cache.
-    // Rows write disjoint scratch rows, so the pool changes only
+    // Wave 2: attention, once every row of every group is in its cache:
+    // one kernels::attend per row over keys 0..pos of its session's layer
+    // cache. Rows write disjoint scratch rows, so the pool changes only
     // wall-clock.
+    const kernels::AttendShape heads{config.n_heads, config.n_kv_heads, hd};
     const auto attend = [&](std::size_t ri) {
-      const auto ra = static_cast<std::int64_t>(ri);
-      attention_row(model, *scratch.row_state[ri], l, scratch.row_pos[ri],
-                    row_f(scratch.q, ra, d), row_f(scratch.att, ra, d),
-                    row_f(scratch.scores, ra, seq));
+      const SessionState& state = *scratch.row_state[ri];
+      kernels::attend(heads, scratch.q.data() + ri * d, state.k_view(l),
+                      state.v_view(l), scratch.row_pos[ri] + 1,
+                      scratch.scores.data() + ri * seq,
+                      scratch.att.data() + ri * d);
     };
     if (pool != nullptr) {
       pool->parallel_for(static_cast<std::size_t>(rows), attend);

@@ -14,8 +14,9 @@
 /// Bitwise contract: a row's logits depend only on its session's cache
 /// and its token, never on which rows share the call. Projections give
 /// every output the kernel layer's 8-lane fp64 reduction whatever the row
-/// count (kernels.hpp); RMSNorm, RoPE, attention, SwiGLU and the residual
-/// adds are per-row code. So a token fed alone, as row t of a verify
+/// count (kernels.hpp); attention is one kernels::attend per row over its
+/// session's cache views, and RMSNorm, RoPE, SwiGLU and the residual adds
+/// are per-row code. So a token fed alone, as row t of a verify
 /// block, or next to other sessions' groups gets the same bits — which is
 /// what lets the server batch sessions, and greedy speculative decoding
 /// accept drafts, without changing any output.
@@ -64,10 +65,10 @@ struct ForwardGroup {
 ///
 /// Per layer: RMSNorm over all rows, one kernels::project per weight
 /// matrix over the stacked rows, then two row waves — every row's RoPE and
-/// K/V store, then every row's attention (row t of a group reads the K/V
-/// its group stored for rows 0..t in the first wave). Attention rows are
-/// independent, so they fan across `pool` when given and any pool size
-/// gives identical bits.
+/// K/V store, then every row's kernels::attend (row t of a group reads the
+/// K/V its group stored for rows 0..t in the first wave; the cache dtype
+/// travels in the views). Attention rows are independent, so they fan
+/// across `pool` when given and any pool size gives identical bits.
 ///
 /// Throws Error, before any state changes, when a state appears in two
 /// groups, a group is empty or overflows its session's capacity, the rows

@@ -14,7 +14,9 @@
 /// The cache stores rows in kF32 (exact) or kF16 (half the bytes; each row
 /// is rounded to nearest-even on store and dequantized exactly on read, so
 /// fp16-KV decode stays bitwise run-to-run deterministic — see DESIGN.md
-/// §4i).
+/// §4i). Readers get bytes (k_raw/v_raw, for prefix-cache copies) or a
+/// typed kernels::KvView per layer (k_view/v_view, for kernels::attend);
+/// writers go through store_k_row/store_v_row.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +26,7 @@
 #include "model/model_config.hpp"
 #include "tensor/dtype.hpp"
 #include "tensor/half.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -63,46 +66,26 @@ struct SessionState {
   /// kv_dim elements of kv_elem_size() bytes; this is the accessor generic
   /// code (prefix-cache copies) uses.
   unsigned char* k_raw(std::int64_t layer, std::int64_t pos) {
-    return k_cache.get() +
-           static_cast<std::size_t>(layer * layer_stride + pos * kv_dim) *
-               kv_elem_size();
+    return k_cache.get() + row_offset(layer, pos);
   }
   unsigned char* v_raw(std::int64_t layer, std::int64_t pos) {
-    return v_cache.get() +
-           static_cast<std::size_t>(layer * layer_stride + pos * kv_dim) *
-               kv_elem_size();
+    return v_cache.get() + row_offset(layer, pos);
   }
   const unsigned char* k_raw(std::int64_t layer, std::int64_t pos) const {
-    return k_cache.get() +
-           static_cast<std::size_t>(layer * layer_stride + pos * kv_dim) *
-               kv_elem_size();
+    return k_cache.get() + row_offset(layer, pos);
   }
   const unsigned char* v_raw(std::int64_t layer, std::int64_t pos) const {
-    return v_cache.get() +
-           static_cast<std::size_t>(layer * layer_stride + pos * kv_dim) *
-               kv_elem_size();
+    return v_cache.get() + row_offset(layer, pos);
   }
 
-  // fp32 views (valid only for a kF32 cache).
-  float* k_at(std::int64_t layer, std::int64_t pos) {
-    return reinterpret_cast<float*>(k_raw(layer, pos));
+  /// Layer `layer`'s K or V cache as a kernels::attend view: rows of
+  /// kv_dim elements in the storage dtype, so the dtype is read in one
+  /// place, inside the kernel.
+  kernels::KvView k_view(std::int64_t layer) const {
+    return {kv_dtype, k_raw(layer, 0), kv_dim};
   }
-  float* v_at(std::int64_t layer, std::int64_t pos) {
-    return reinterpret_cast<float*>(v_raw(layer, pos));
-  }
-  const float* k_at(std::int64_t layer, std::int64_t pos) const {
-    return reinterpret_cast<const float*>(k_raw(layer, pos));
-  }
-  const float* v_at(std::int64_t layer, std::int64_t pos) const {
-    return reinterpret_cast<const float*>(v_raw(layer, pos));
-  }
-
-  // fp16 bit-pattern views (valid only for a kF16 cache).
-  const std::uint16_t* k16_at(std::int64_t layer, std::int64_t pos) const {
-    return reinterpret_cast<const std::uint16_t*>(k_raw(layer, pos));
-  }
-  const std::uint16_t* v16_at(std::int64_t layer, std::int64_t pos) const {
-    return reinterpret_cast<const std::uint16_t*>(v_raw(layer, pos));
+  kernels::KvView v_view(std::int64_t layer) const {
+    return {kv_dtype, v_raw(layer, 0), kv_dim};
   }
 
   /// Writes one fp32 row into the cache, converting to the storage dtype
@@ -156,6 +139,11 @@ struct SessionState {
   Rng rng;  ///< per-session sampler stream (temperature decoding)
 
  private:
+  std::size_t row_offset(std::int64_t layer, std::int64_t pos) const {
+    return static_cast<std::size_t>(layer * layer_stride + pos * kv_dim) *
+           kv_elem_size();
+  }
+
   void store_row(unsigned char* dst, const float* src) {
     if (kv_dtype == DType::kF32) {
       std::memcpy(dst, src, static_cast<std::size_t>(kv_dim) * sizeof(float));

@@ -6,6 +6,7 @@
 /// the dispatcher in kernels.cpp picks one at runtime and owns the blocking
 /// and thread-pool fan-out, so backends only ever see contiguous panels.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -28,6 +29,31 @@ struct ProjectOut {
   std::int64_t out_stride = 0;
 };
 
+/// The head loop of every attend() body: per query head h, in order, over
+/// KV head h / (n_heads / n_kv_heads), scores[j] = float(dot(K row j, q_h))
+/// * 1/sqrt(head_dim) for j < n_keys, the one softmax, then mix(V head,
+/// out_h), which writes out_h from the probabilities in `scores`.
+template <typename Elem, typename Dot, typename Mix>
+inline void attend_heads(const AttendShape& shape, const float* q,
+                         const KvView& k, const KvView& v, std::int64_t n_keys,
+                         float* scores, float* out, const Dot& dot,
+                         const Mix& mix) {
+  const std::int64_t hd = shape.head_dim;
+  const std::int64_t group = shape.n_heads / shape.n_kv_heads;
+  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
+  for (std::int64_t h = 0; h < shape.n_heads; ++h) {
+    const std::int64_t off = (h / group) * hd;
+    const Elem* k_head = static_cast<const Elem*>(k.data) + off;
+    for (std::int64_t j = 0; j < n_keys; ++j) {
+      scores[j] =
+          static_cast<float>(dot(k_head + j * k.row_stride, q + h * hd)) *
+          scale;
+    }
+    softmax(scores, static_cast<std::size_t>(n_keys));
+    mix(static_cast<const Elem*>(v.data) + off, out + h * hd);
+  }
+}
+
 /// The stored value of one projection output: the combined dot, scaled in
 /// fp64 by the weight row's int8 scale when `scales` is set.
 inline float project_output(double dot, const float* scales, std::int64_t o) {
@@ -40,7 +66,6 @@ double dot(const float* a, const float* b, std::size_t n);
 double sum_squares(const float* a, std::size_t n);
 void axpy(float alpha, const float* x, float* y, std::size_t n);
 void scale(float* x, float alpha, std::size_t n);
-void hadamard(const float* x, float* y, std::size_t n);
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
                 std::size_t n);
 /// Rows [i0, i1) of c += a @ b.
@@ -56,9 +81,9 @@ void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
 void project_block(const WeightView& w, const double* xd,
                    const ProjectOut& out, std::int64_t r0, std::int64_t r1,
                    std::int64_t o0, std::int64_t o1);
-// Quantized variants: dequantize-on-the-fly with the same reduction shape.
-double dot_f16(const std::uint16_t* a, const float* b, std::size_t n);
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
+/// kernels::attend over either KV dtype.
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out);
 }  // namespace generic
 
 #if defined(CHIPALIGN_HAVE_AVX2)
@@ -67,7 +92,6 @@ double dot(const float* a, const float* b, std::size_t n);
 double sum_squares(const float* a, std::size_t n);
 void axpy(float alpha, const float* x, float* y, std::size_t n);
 void scale(float* x, float alpha, std::size_t n);
-void hadamard(const float* x, float* y, std::size_t n);
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
                 std::size_t n);
 void matmul_rows(const float* a, const float* b, float* c, std::int64_t i0,
@@ -81,10 +105,9 @@ void matmul_tn_cols(const float* a, const float* b, float* c, std::int64_t m,
 void project_block(const WeightView& w, const double* xd,
                    const ProjectOut& out, std::int64_t r0, std::int64_t r1,
                    std::int64_t o0, std::int64_t o1);
-#if defined(CHIPALIGN_HAVE_F16C)
-double dot_f16(const std::uint16_t* a, const float* b, std::size_t n);
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
-#endif
+/// kernels::attend; an fp16 cache additionally needs F16C, like project.
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out);
 }  // namespace avx2
 #endif
 

@@ -45,8 +45,8 @@ bool cpu_has_f16c() {
 #endif
 }
 
-/// The AVX2 f16 kernels additionally need F16C (vcvtph2ps); without it the
-/// f16 family falls back to the generic backend (bitwise identical).
+/// The AVX2 f16 paths additionally need F16C (vcvtph2ps); without it fp16
+/// weights and fp16 KV fall back to the generic backend (bitwise identical).
 [[maybe_unused]] bool use_avx2_f16() {
   static const bool available = cpu_has_avx2() && cpu_has_f16c();
   return available && !g_force_generic;
@@ -124,19 +124,23 @@ void scale(float* x, float alpha, std::size_t n) {
   generic::scale(x, alpha, n);
 }
 
-void hadamard(const float* x, float* y, std::size_t n) {
-#if defined(CHIPALIGN_HAVE_AVX2)
-  if (use_avx2()) return avx2::hadamard(x, y, n);
-#endif
-  generic::hadamard(x, y, n);
-}
-
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
                 std::size_t n) {
 #if defined(CHIPALIGN_HAVE_AVX2)
   if (use_avx2()) return avx2::scaled_sum(a, x, b, y, out, n);
 #endif
   generic::scaled_sum(a, x, b, y, out, n);
+}
+
+void softmax(float* x, std::size_t n) {
+  const float max_logit = *std::max_element(x, x + n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = std::exp(x[i] - max_logit);
+    sum += x[i];
+  }
+  const float inv = static_cast<float>(1.0 / sum);
+  for (std::size_t i = 0; i < n; ++i) x[i] *= inv;
 }
 
 void matmul(const float* a, const float* b, float* c, std::int64_t m,
@@ -242,20 +246,23 @@ void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
                ProjectOut{c, 1, n}, n, nullptr);
 }
 
-// -- quantized helpers --------------------------------------------------------
+// -- attention ----------------------------------------------------------------
 
-double dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
-#if defined(CHIPALIGN_HAVE_F16C)
-  if (use_avx2_f16()) return avx2::dot_f16(a, b, n);
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out) {
+  CA_CHECK(k.dtype == v.dtype &&
+               (k.dtype == DType::kF32 || k.dtype == DType::kF16),
+           "attend: K and V views must share an F32 or F16 dtype");
+  CA_CHECK(shape.n_kv_heads > 0 && shape.n_heads % shape.n_kv_heads == 0,
+           "attend: " << shape.n_heads << " query heads over "
+                      << shape.n_kv_heads << " KV heads");
+  CA_CHECK(n_keys > 0, "attend over no keys");
+#if defined(CHIPALIGN_HAVE_AVX2)
+  if (k.dtype == DType::kF16 ? use_avx2_f16() : use_avx2()) {
+    return avx2::attend(shape, q, k, v, n_keys, scores, out);
+  }
 #endif
-  return generic::dot_f16(a, b, n);
-}
-
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
-#if defined(CHIPALIGN_HAVE_F16C)
-  if (use_avx2_f16()) return avx2::axpy_f16(alpha, x, y, n);
-#endif
-  generic::axpy_f16(alpha, x, y, n);
+  generic::attend(shape, q, k, v, n_keys, scores, out);
 }
 
 }  // namespace chipalign::kernels

@@ -3,9 +3,9 @@
 /// \brief SIMD-friendly tensor kernels with a deterministic-reduction contract.
 ///
 /// This layer provides the hot inner loops behind tensor_ops: dot, norm,
-/// axpy, scale, hadamard, the fused scaled_sum (a*x + b*y — the SLERP
-/// combine), blocked matmul variants, and project(), the one projection
-/// entry behind every decode, batched-serving and verify step. Two backends
+/// axpy, scale, the fused scaled_sum (a*x + b*y — the SLERP combine),
+/// softmax, blocked matmul variants, and the one projection (project())
+/// and attention (attend()) entries behind every serving step. Two backends
 /// implement the same bit-level contract:
 ///
 ///   - generic: unrolled multi-accumulator scalar code the compiler can
@@ -44,19 +44,18 @@
 /// block geometry depends only on the problem shape, never on the thread
 /// count.
 ///
-/// ## Quantized weights
+/// ## Quantized weights and fp16 KV
 ///
-/// project() and the _f16 / _bf16 / _i8 helpers read sub-fp32 weight
-/// storage and dequantize on the fly. Every stored element converts
-/// *exactly* to fp32 (f16 and bf16 are fp32 subsets; int8 codes are small
-/// integers) before feeding the same 8-lane fp64 reduction, so the
-/// contract above — bitwise run-to-run, thread-count and backend
-/// invariance — holds unchanged. The int8 per-row scale is factored out of
-/// the reduction and applied once per output in fp64 (y[o] =
-/// float(scale[o] * dot), with the dot's lanes accumulating exact
-/// double(q)*double(x) products), so the scale never perturbs lane order.
-/// The AVX2 f16 path additionally requires F16C (probed at compile time,
-/// checked at runtime) and falls back to the generic backend without it.
+/// project() reads sub-fp32 weight storage and attend() an fp16 KV cache,
+/// dequantizing on the fly. Every stored element converts *exactly* to fp32
+/// (f16 and bf16 are fp32 subsets; int8 codes are small integers) before
+/// the same arithmetic, so the contract above — bitwise run-to-run,
+/// thread-count and backend invariance — holds unchanged. The int8 per-row
+/// scale is factored out of the reduction and applied once per output in
+/// fp64 (y[o] = float(scale[o] * dot), with the dot's lanes accumulating
+/// exact double(q)*double(x) products), so it never perturbs lane order.
+/// The AVX2 f16 paths additionally require F16C (probed at compile time,
+/// checked at runtime) and fall back to the generic backend without it.
 
 #include <cstddef>
 #include <cstdint>
@@ -103,13 +102,14 @@ void axpy(float alpha, const float* x, float* y, std::size_t n);
 /// x[i] *= alpha.
 void scale(float* x, float alpha, std::size_t n);
 
-/// y[i] *= x[i].
-void hadamard(const float* x, float* y, std::size_t n);
-
 /// out[i] = a*x[i] + b*y[i] — the fused SLERP/LERP combine. One pass over
 /// three streams instead of the scale+scale+add sequence it replaces.
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
                 std::size_t n);
+
+/// In place, n > 0: x[i] = exp(x[i] - max) * float(1 / sum), the sum in
+/// fp64 in index order. Scalar, one copy for every backend and ref.
+void softmax(float* x, std::size_t n);
 
 // -- blocked matmul kernels ---------------------------------------------------
 
@@ -157,21 +157,41 @@ struct WeightView {
 void project(const WeightView& w, const float* x, float* y,
              std::int64_t n_rows, ThreadPool* pool = nullptr);
 
-// -- quantized helpers (dequantize-on-the-fly, same reduction contract) -------
-
-/// dot() with `a` stored as fp16 bit patterns: each element converts exactly
-/// to fp32 before entering the 8-lane fp64 reduction.
-double dot_f16(const std::uint16_t* a, const float* b, std::size_t n);
-
-/// y[i] += alpha * f16(x[i]) — the fp16 KV-cache attention accumulate.
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
-
 /// matmul_nt() with int8 weights as the A operand: c[i,j] =
 /// float(double(a_scales[i]) * ref::dot_i8(a row i, b row j)), i.e. project()
 /// over the [m, k] int8 weights and n activation rows, with the output laid
 /// out [m, n] (weight-row major) rather than project()'s [n, m].
 void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
                   float* c, std::int64_t m, std::int64_t k, std::int64_t n);
+
+// -- attention (the other serving hot path) -----------------------------------
+
+/// One KV-cache layer in its storage dtype, fp32 floats or fp16 bits: key
+/// j's row starts at element j * row_stride, KV head g at g * head_dim.
+struct KvView {
+  DType dtype = DType::kF32;
+  const void* data = nullptr;
+  std::int64_t row_stride = 0;
+};
+
+/// q and out are [n_heads * head_dim]; query head h reads KV head
+/// h / (n_heads / n_kv_heads).
+struct AttendShape {
+  std::int64_t n_heads = 0;
+  std::int64_t n_kv_heads = 0;
+  std::int64_t head_dim = 0;
+};
+
+/// Causal attention of one query row over keys [0, n_keys), `scores`
+/// [>= n_keys] as scratch. Per query head h, in order:
+///   scores[j] = float(contract dot(q_h, K_j)) * (1 / sqrt(head_dim))
+///   softmax(scores[0, n_keys))
+///   out_h[i]  = ((0 + p_0 * V_0[i]) + p_1 * V_1[i]) + ..., in key order
+/// Vectorized over head_dim only, never across keys, so every backend
+/// equals ref::attend bit-for-bit. The views' dtype (k and v share it)
+/// picks the backend once per call; fp16 KV without F16C runs generic.
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out);
 
 /// Retained scalar reference: the executable definition of the contract.
 /// Every kernels::X above must equal kernels::ref::X bit-for-bit; the
@@ -181,7 +201,6 @@ double dot(const float* a, const float* b, std::size_t n);
 double norm(const float* a, std::size_t n);
 void axpy(float alpha, const float* x, float* y, std::size_t n);
 void scale(float* x, float alpha, std::size_t n);
-void hadamard(const float* x, float* y, std::size_t n);
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
                 std::size_t n);
 void matmul(const float* a, const float* b, float* c, std::int64_t m,
@@ -195,7 +214,6 @@ void matvec(const float* w, const float* x, float* y, std::int64_t out_dim,
 double dot_f16(const std::uint16_t* a, const float* b, std::size_t n);
 double dot_bf16(const std::uint16_t* a, const float* b, std::size_t n);
 double dot_i8(const std::int8_t* q, const float* x, std::size_t n);
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n);
 void matvec_f16(const std::uint16_t* w, const float* x, float* y,
                 std::int64_t out_dim, std::int64_t in_dim);
 void matvec_bf16(const std::uint16_t* w, const float* x, float* y,
@@ -208,6 +226,8 @@ void matmul_nt_bf16(const std::uint16_t* a, const float* b, float* c,
                     std::int64_t m, std::int64_t k, std::int64_t n);
 void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
                   float* c, std::int64_t m, std::int64_t k, std::int64_t n);
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out);
 }  // namespace ref
 
 }  // namespace chipalign::kernels

@@ -26,7 +26,8 @@ namespace {
 // -- load traits --------------------------------------------------------------
 //
 // Each trait widens 8 stored elements to two fp64 halves (load: lanes 0..3
-// and 4..7) and one element for a scalar tail (scalar). Every stored value
+// and 4..7) and one element for a scalar tail (scalar); the KV-cache
+// dtypes (fp32, fp16) also load 8 elements as fp32 (vec). Every stored value
 // converts exactly (f16 and bf16 are fp32 subsets, int8 codes small
 // integers), so the templated bodies below perform the identical fp64
 // sequence whatever the dtype and match the scalar reference bit-for-bit.
@@ -39,6 +40,7 @@ inline void widen(__m256 v, __m256d& lo, __m256d& hi) {
 
 struct VLoadF32 {
   using Elem = float;
+  static __m256 vec(const Elem* p) { return _mm256_loadu_ps(p); }
   static void load(const Elem* p, __m256d& lo, __m256d& hi) {
     lo = _mm256_cvtps_pd(_mm_loadu_ps(p));
     hi = _mm256_cvtps_pd(_mm_loadu_ps(p + 4));
@@ -318,6 +320,37 @@ void project_block_t(const WeightView& w, const double* xd,
   }
 }
 
+// -- attention ----------------------------------------------------------------
+
+/// attend over one KV load trait: dot_lanes scores, then the value rows
+/// accumulated into the head's output in key order, 8 elements at a time,
+/// one mul then one add each — kernels::axpy's arithmetic, key by key.
+template <typename L>
+void attend_t(const AttendShape& shape, const float* q, const KvView& k,
+              const KvView& v, std::int64_t n_keys, float* scores,
+              float* out) {
+  using Elem = typename L::Elem;
+  const std::int64_t hd = shape.head_dim;
+  const auto dot = [&](const Elem* k_row, const float* q_h) {
+    return dot_lanes<L>(k_row, q_h, static_cast<std::size_t>(hd));
+  };
+  const auto mix = [&](const Elem* v_head, float* out_h) {
+    std::fill(out_h, out_h + hd, 0.0F);
+    for (std::int64_t j = 0; j < n_keys; ++j) {
+      const __m256 p = _mm256_set1_ps(scores[j]);
+      const Elem* row = v_head + j * v.row_stride;
+      std::int64_t i = 0;
+      for (; i + 8 <= hd; i += 8) {
+        const __m256 pv = _mm256_mul_ps(p, L::vec(row + i));
+        _mm256_storeu_ps(out_h + i,
+                         _mm256_add_ps(_mm256_loadu_ps(out_h + i), pv));
+      }
+      for (; i < hd; ++i) out_h[i] += scores[j] * L::scalar(row[i]);
+    }
+  };
+  attend_heads<Elem>(shape, q, k, v, n_keys, scores, out, dot, mix);
+}
+
 }  // namespace
 
 double dot(const float* a, const float* b, std::size_t n) {
@@ -348,15 +381,6 @@ void scale(float* x, float alpha, std::size_t n) {
     _mm256_storeu_ps(x + i + 8, _mm256_mul_ps(va, _mm256_loadu_ps(x + i + 8)));
   }
   for (; i < n; ++i) x[i] *= alpha;
-}
-
-void hadamard(const float* x, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        y + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) y[i] *= x[i];
 }
 
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
@@ -431,22 +455,15 @@ void project_block(const WeightView& w, const double* xd,
   }
 }
 
-#if defined(CHIPALIGN_HAVE_F16C)
-double dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
-  return dot_lanes<VLoadF16>(a, b, n);
-}
-
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 p = _mm256_mul_ps(va, VLoadF16::vec(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), p));
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out) {
+  if (k.dtype == DType::kF32) {
+    return attend_t<VLoadF32>(shape, q, k, v, n_keys, scores, out);
   }
-  for (; i < n; ++i) y[i] += alpha * f16_bits_to_f32(x[i]);
+#if defined(CHIPALIGN_HAVE_F16C)
+  attend_t<VLoadF16>(shape, q, k, v, n_keys, scores, out);
+#endif  // without F16C the dispatcher routes fp16 KV to the generic backend
 }
-
-#endif  // CHIPALIGN_HAVE_F16C
 
 }  // namespace chipalign::kernels::avx2
 

@@ -7,6 +7,8 @@
 /// whatever width the target offers without changing a single bit (FP
 /// contraction is disabled for this translation unit).
 
+#include <algorithm>
+
 #include "tensor/half.hpp"
 #include "tensor/kernels/backend.hpp"
 #include "tensor/kernels/kernels.hpp"
@@ -69,6 +71,27 @@ void project_block_t(const WeightView& w, const double* xd,
   }
 }
 
+/// attend over one KV storage type: dot_q scores, then the value rows
+/// accumulated in key order, one dependence-free pass over head_dim each.
+template <typename T, typename Load>
+void attend_t(const AttendShape& shape, const float* q, const KvView& k,
+              const KvView& v, std::int64_t n_keys, float* scores, float* out,
+              Load load) {
+  const auto n = static_cast<std::size_t>(shape.head_dim);
+  const auto dot = [&](const T* k_row, const float* q_h) {
+    return dot_q(k_row, q_h, n, load);
+  };
+  const auto mix = [&](const T* v_head, float* out_h) {
+    std::fill(out_h, out_h + n, 0.0F);
+    for (std::int64_t j = 0; j < n_keys; ++j) {
+      const float p = scores[j];
+      const T* v_row = v_head + j * v.row_stride;
+      for (std::size_t i = 0; i < n; ++i) out_h[i] += p * load(v_row[i]);
+    }
+  };
+  attend_heads<T>(shape, q, k, v, n_keys, scores, out, dot, mix);
+}
+
 }  // namespace
 
 double dot(const float* a, const float* b, std::size_t n) {
@@ -85,10 +108,6 @@ void axpy(float alpha, const float* x, float* y, std::size_t n) {
 
 void scale(float* x, float alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
-}
-
-void hadamard(const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] *= x[i];
 }
 
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
@@ -140,12 +159,13 @@ void project_block(const WeightView& w, const double* xd,
   }
 }
 
-double dot_f16(const std::uint16_t* a, const float* b, std::size_t n) {
-  return dot_q(a, b, n, LoadF16{});
-}
-
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * f16_bits_to_f32(x[i]);
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out) {
+  if (k.dtype == DType::kF16) {
+    return attend_t<std::uint16_t>(shape, q, k, v, n_keys, scores, out,
+                                   LoadF16{});
+  }
+  attend_t<float>(shape, q, k, v, n_keys, scores, out, LoadF32{});
 }
 
 }  // namespace chipalign::kernels::generic

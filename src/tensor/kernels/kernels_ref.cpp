@@ -50,10 +50,6 @@ void scale(float* x, float alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
-void hadamard(const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] *= x[i];
-}
-
 void scaled_sum(float a, const float* x, float b, const float* y, float* out,
                 std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a * x[i] + b * y[i];
@@ -161,10 +157,6 @@ double dot_i8(const std::int8_t* q, const float* x, std::size_t n) {
   return combine_lanes(lanes);
 }
 
-void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * f16_bits_to_f32(x[i]);
-}
-
 void matvec_f16(const std::uint16_t* w, const float* x, float* y,
                 std::int64_t out_dim, std::int64_t in_dim) {
   for (std::int64_t o = 0; o < out_dim; ++o) {
@@ -223,6 +215,51 @@ void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
       c_row[j] = static_cast<float>(
           static_cast<double>(a_scales[i]) *
           dot_i8(a_row, b + j * k, static_cast<std::size_t>(k)));
+    }
+  }
+}
+
+// -- attention reference -----------------------------------------------------
+//
+// Decode attention spelled out: per query head, one contract dot per key
+// (fp16 keys through dot_f16), the one softmax, then one axpy per value row
+// in key order onto a zeroed head output.
+
+namespace {
+
+void axpy_f16(float alpha, const std::uint16_t* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * f16_bits_to_f32(x[i]);
+}
+
+}  // namespace
+
+void attend(const AttendShape& shape, const float* q, const KvView& k,
+            const KvView& v, std::int64_t n_keys, float* scores, float* out) {
+  const std::int64_t hd = shape.head_dim;
+  const auto n = static_cast<std::size_t>(hd);
+  const bool half = k.dtype == DType::kF16;
+  for (std::int64_t h = 0; h < shape.n_heads; ++h) {
+    const std::int64_t off = h / (shape.n_heads / shape.n_kv_heads) * hd;
+    const float* q_h = q + h * hd;
+    float* out_h = out + h * hd;
+    for (std::int64_t j = 0; j < n_keys; ++j) {
+      const std::int64_t at = j * k.row_stride + off;
+      const double d =
+          half ? dot_f16(static_cast<const std::uint16_t*>(k.data) + at, q_h, n)
+               : dot(q_h, static_cast<const float*>(k.data) + at, n);
+      scores[j] = static_cast<float>(d) *
+                  (1.0F / std::sqrt(static_cast<float>(hd)));
+    }
+    softmax(scores, static_cast<std::size_t>(n_keys));
+    for (std::size_t i = 0; i < n; ++i) out_h[i] = 0.0F;
+    for (std::int64_t j = 0; j < n_keys; ++j) {
+      const std::int64_t at = j * v.row_stride + off;
+      if (half) {
+        axpy_f16(scores[j], static_cast<const std::uint16_t*>(v.data) + at,
+                 out_h, n);
+      } else {
+        axpy(scores[j], static_cast<const float*>(v.data) + at, out_h, n);
+      }
     }
   }
 }

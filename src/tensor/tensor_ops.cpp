@@ -55,14 +55,7 @@ double cosine(std::span<const float> a, std::span<const float> b) {
 
 void softmax_inplace(std::span<float> logits) {
   CA_CHECK(!logits.empty(), "softmax on empty span");
-  const float max_logit = *std::max_element(logits.begin(), logits.end());
-  double sum = 0.0;
-  for (float& v : logits) {
-    v = std::exp(v - max_logit);
-    sum += v;
-  }
-  const float inv = static_cast<float>(1.0 / sum);
-  for (float& v : logits) v *= inv;
+  kernels::softmax(logits.data(), logits.size());
 }
 
 double log_sum_exp(std::span<const float> logits) {
@@ -77,44 +70,6 @@ std::int64_t argmax(std::span<const float> values) {
   CA_CHECK(!values.empty(), "argmax on empty span");
   return static_cast<std::int64_t>(
       std::max_element(values.begin(), values.end()) - values.begin());
-}
-
-void attention_scores(const float* q_head, const float* k_base,
-                      std::int64_t row_stride, std::int64_t n_rows,
-                      std::int64_t head_dim, float scale, float* scores) {
-  for (std::int64_t j = 0; j < n_rows; ++j) {
-    const double d = kernels::dot(q_head, k_base + j * row_stride,
-                                  static_cast<std::size_t>(head_dim));
-    scores[j] = static_cast<float>(d) * scale;
-  }
-}
-
-void attention_scores_f16(const float* q_head, const std::uint16_t* k_base,
-                          std::int64_t row_stride, std::int64_t n_rows,
-                          std::int64_t head_dim, float scale, float* scores) {
-  for (std::int64_t j = 0; j < n_rows; ++j) {
-    const double d = kernels::dot_f16(k_base + j * row_stride, q_head,
-                                      static_cast<std::size_t>(head_dim));
-    scores[j] = static_cast<float>(d) * scale;
-  }
-}
-
-void attention_mix(const float* probs, const float* v_base,
-                   std::int64_t row_stride, std::int64_t n_rows,
-                   std::int64_t head_dim, float* att_head) {
-  for (std::int64_t j = 0; j < n_rows; ++j) {
-    kernels::axpy(probs[j], v_base + j * row_stride, att_head,
-                  static_cast<std::size_t>(head_dim));
-  }
-}
-
-void attention_mix_f16(const float* probs, const std::uint16_t* v_base,
-                       std::int64_t row_stride, std::int64_t n_rows,
-                       std::int64_t head_dim, float* att_head) {
-  for (std::int64_t j = 0; j < n_rows; ++j) {
-    kernels::axpy_f16(probs[j], v_base + j * row_stride, att_head,
-                      static_cast<std::size_t>(head_dim));
-  }
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
@@ -134,13 +89,6 @@ Tensor sub(const Tensor& a, const Tensor& b) {
 Tensor scaled(const Tensor& a, float alpha) {
   Tensor out = a;
   scale(out.values(), alpha);
-  return out;
-}
-
-Tensor hadamard(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "hadamard");
-  Tensor out = a;
-  kernels::hadamard(b.data(), out.data(), out.values().size());
   return out;
 }
 

@@ -40,7 +40,7 @@ void scaled_sum(float a, std::span<const float> x, float b,
 /// Cosine of the angle between two vectors; 0 if either has zero norm.
 double cosine(std::span<const float> a, std::span<const float> b);
 
-/// In-place numerically-stable softmax over the span.
+/// In-place numerically-stable softmax over the span (kernels::softmax).
 void softmax_inplace(std::span<float> logits);
 
 /// log(sum(exp(logits))) computed stably.
@@ -48,36 +48,6 @@ double log_sum_exp(std::span<const float> logits);
 
 /// Index of the maximum element (first on ties); requires non-empty span.
 std::int64_t argmax(std::span<const float> values);
-
-// -- causal-attention helpers -------------------------------------------------
-//
-// The per-head inner loops of cached-KV attention, shared by the serial,
-// batched and block-verify decode paths (nn/decode) so all three issue the
-// exact same kernel-call sequence — which is what makes their outputs
-// bitwise identical. Rows j of the cache live at `base + j * row_stride`;
-// `n_rows` is the causal horizon (positions 0..n_rows-1 are attended).
-
-/// scores[j] = float(dot(q_head, k_row_j)) * scale for j in [0, n_rows).
-/// q_head has head_dim elements; k rows are fp32.
-void attention_scores(const float* q_head, const float* k_base,
-                      std::int64_t row_stride, std::int64_t n_rows,
-                      std::int64_t head_dim, float scale, float* scores);
-
-/// attention_scores over an fp16-stored K cache (exactly-dequantizing dot).
-void attention_scores_f16(const float* q_head, const std::uint16_t* k_base,
-                          std::int64_t row_stride, std::int64_t n_rows,
-                          std::int64_t head_dim, float scale, float* scores);
-
-/// att_head += sum_j probs[j] * v_row_j (att_head must be pre-zeroed by the
-/// caller; the accumulation order is the deterministic axpy sequence).
-void attention_mix(const float* probs, const float* v_base,
-                   std::int64_t row_stride, std::int64_t n_rows,
-                   std::int64_t head_dim, float* att_head);
-
-/// attention_mix over an fp16-stored V cache.
-void attention_mix_f16(const float* probs, const std::uint16_t* v_base,
-                       std::int64_t row_stride, std::int64_t n_rows,
-                       std::int64_t head_dim, float* att_head);
 
 // -- tensor-level helpers -----------------------------------------------------
 
@@ -89,9 +59,6 @@ Tensor sub(const Tensor& a, const Tensor& b);
 
 /// c = alpha * a.
 Tensor scaled(const Tensor& a, float alpha);
-
-/// Elementwise (Hadamard) product.
-Tensor hadamard(const Tensor& a, const Tensor& b);
 
 /// c = alpha * a + beta * b in a single fused pass.
 Tensor scaled_sum(float alpha, const Tensor& a, float beta, const Tensor& b);

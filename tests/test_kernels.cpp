@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/half.hpp"
@@ -104,22 +106,6 @@ TEST_F(KernelBackends, ScaleMatchesRefBitwise) {
     for_each_backend([&](const char* backend) {
       auto got = x;
       kernels::scale(got.data(), -1.618F, n);
-      EXPECT_TRUE(bitwise_equal(got, expected))
-          << "n=" << n << " backend=" << backend;
-    });
-  }
-}
-
-TEST_F(KernelBackends, HadamardMatchesRefBitwise) {
-  Rng rng(105);
-  for (const std::size_t n : kSizes) {
-    const auto x = random_vec(n, rng);
-    const auto y = random_vec(n, rng);
-    auto expected = y;
-    kernels::ref::hadamard(x.data(), expected.data(), n);
-    for_each_backend([&](const char* backend) {
-      auto got = y;
-      kernels::hadamard(x.data(), got.data(), n);
       EXPECT_TRUE(bitwise_equal(got, expected))
           << "n=" << n << " backend=" << backend;
     });
@@ -549,6 +535,119 @@ TEST_F(KernelBackends, DotFollowsLaneContractNotSerialSum) {
     EXPECT_EQ(kernels::dot(a.data(), b.data(), n), contract)
         << "backend=" << backend;
   });
+}
+
+/// One layer's K or V rows, `stride` elements apart, as fp32 values and as
+/// their fp16 bit patterns.
+struct KvRows {
+  KvRows(std::vector<float> values, std::int64_t row_stride)
+      : f32(std::move(values)), f16(f32.size()), stride(row_stride) {
+    for (std::size_t i = 0; i < f32.size(); ++i) {
+      f16[i] = f32_to_f16_bits(f32[i]);
+    }
+  }
+  kernels::KvView view(DType dtype) const {
+    if (dtype == DType::kF16) return {dtype, f16.data(), stride};
+    return {dtype, f32.data(), stride};
+  }
+  std::vector<float> f32;
+  std::vector<std::uint16_t> f16;
+  std::int64_t stride;
+};
+
+/// attend() on every backend memcmp-equals ref::attend; `got` starts as
+/// -1s, so an output element the kernel never writes shows too.
+void expect_attend_matches_ref(const kernels::AttendShape& shape,
+                               const std::vector<float>& q, const KvRows& k,
+                               const KvRows& v, std::int64_t n_keys,
+                               DType dtype, const std::string& what) {
+  const auto width = static_cast<std::size_t>(shape.n_heads * shape.head_dim);
+  std::vector<float> scores(static_cast<std::size_t>(n_keys));
+  std::vector<float> expected(width, -1.0F);
+  kernels::ref::attend(shape, q.data(), k.view(dtype), v.view(dtype), n_keys,
+                       scores.data(), expected.data());
+  for_each_backend([&](const char* backend) {
+    std::vector<float> got(width, -1.0F);
+    kernels::attend(shape, q.data(), k.view(dtype), v.view(dtype), n_keys,
+                    scores.data(), got.data());
+    EXPECT_TRUE(bitwise_equal(got, expected))
+        << what << " " << dtype_name(dtype) << " keys=" << n_keys
+        << " head_dim=" << shape.head_dim << " heads=" << shape.n_heads << "/"
+        << shape.n_kv_heads << " backend=" << backend;
+  });
+}
+
+// Both KV dtypes; keys 1..600 (every 8-lane tail and the served horizon);
+// head_dim 32 and 12 (a mix tail); GQA groups 1 and 2; padded row stride.
+TEST_F(KernelBackends, AttendMatchesRefBitwise) {
+  Rng rng(112);
+  const std::int64_t n_kv_heads = 2;
+  const std::int64_t max_keys = 600;
+  for (const std::int64_t hd : {32, 12}) {
+    const std::int64_t stride = n_kv_heads * hd + 3;
+    const auto rows = static_cast<std::size_t>(max_keys * stride);
+    const KvRows k(random_vec(rows, rng), stride);
+    const KvRows v(random_vec(rows, rng), stride);
+    for (const std::int64_t group : {1, 2}) {
+      const kernels::AttendShape shape{n_kv_heads * group, n_kv_heads, hd};
+      const auto q =
+          random_vec(static_cast<std::size_t>(shape.n_heads * hd), rng);
+      for (const DType dtype : {DType::kF32, DType::kF16}) {
+        for (const std::int64_t n_keys : {1, 7, 8, 9, 100, 333, 600}) {
+          expect_attend_matches_ref(shape, q, k, v, n_keys, dtype, "random");
+        }
+      }
+    }
+  }
+
+  // Keys whose scores random data cannot pin: a one-ulp change in the score
+  // combine is lost when a random dot rounds to fp32.
+  //  - cancel: lanes 0 and 4 carry +-2^60 and lane 6 carries 1, so the
+  //    contract tree gives 0 where a serial sum gives 1;
+  //  - midpoint: m * (1 + 2^-24) is a tie between two floats and rounds to
+  //    even (m), so one more fp64 ulp in the dot moves the score by one
+  //    fp32 ulp;
+  //  - twin: the next key scores exactly m, so the pair splits the softmax
+  //    mass and that one ulp moves both probabilities by many.
+  for (const std::int64_t hd : {32, 12}) {
+    const kernels::AttendShape shape{4, 2, hd};
+    const std::int64_t stride = 2 * hd;
+    const auto at = [&](std::int64_t i) { return static_cast<std::size_t>(i); };
+    std::vector<float> q_head(at(hd), 0.0F);
+    q_head[0] = std::ldexp(1.0F, 45);
+    q_head[4] = -std::ldexp(1.0F, 45);
+    q_head[6] = 1.0F;
+    q_head[1] = 1.0F;
+    q_head[2] = std::ldexp(1.0F, -12);
+    std::vector<float> q;
+    for (std::int64_t h = 0; h < shape.n_heads; ++h) {
+      q.insert(q.end(), q_head.begin(), q_head.end());
+    }
+    const float mids[] = {64.0F, 16.0F, 4.0F};
+    const std::int64_t n_keys = 9;
+    std::vector<float> keys(at(n_keys * stride), 0.0F);
+    for (std::int64_t j = 0; j < n_keys; ++j) {
+      for (std::int64_t g = 0; g < 2; ++g) {
+        float* row = keys.data() + j * stride + g * hd;
+        if (j % 3 == 0) {
+          row[0] = row[4] = std::ldexp(1.0F, 15);
+          row[6] = 1.0F;
+          ASSERT_EQ(kernels::ref::dot(q_head.data(), row, at(hd)), 0.0);
+        } else {
+          const float m = mids[j / 3];
+          row[1] = m;
+          row[2] = j % 3 == 1 ? m * std::ldexp(1.0F, -12) : 0.0F;
+          ASSERT_EQ(kernels::ref::dot(q_head.data(), row, at(hd)),
+                    j % 3 == 1 ? m * (1.0 + std::ldexp(1.0, -24)) : m);
+        }
+      }
+    }
+    const KvRows k(keys, stride);
+    const KvRows v(random_vec(keys.size(), rng), stride);
+    for (const DType dtype : {DType::kF32, DType::kF16}) {
+      expect_attend_matches_ref(shape, q, k, v, n_keys, dtype, "crafted");
+    }
+  }
 }
 
 TEST(KernelDispatch, BackendNameIsConsistentWithForceGeneric) {

@@ -170,23 +170,52 @@ class QuantKernels : public ::testing::Test {
 
 TEST_F(QuantKernels, DotF16MatchesRefAndExpandedDot) {
   Rng rng(515);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{8}, std::size_t{61},
-                              std::size_t{1003}}) {
-    std::vector<std::uint16_t> a(n);
-    std::vector<float> a_f32(n);
-    std::vector<float> b(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = f32_to_f16_bits(static_cast<float>(rng.gaussian()));
-      a_f32[i] = f16_bits_to_f32(a[i]);
-      b[i] = static_cast<float>(rng.gaussian());
+  const std::int64_t n_keys = 3;
+  for (const std::int64_t n : {1, 8, 61, 1003}) {
+    // Three fp16 K rows and V rows of n elements, and their exact fp32
+    // expansions.
+    const auto count = static_cast<std::size_t>(n_keys * n);
+    std::vector<std::uint16_t> k16(count);
+    std::vector<std::uint16_t> v16(count);
+    std::vector<float> k32(count);
+    std::vector<float> v32(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      k16[i] = f32_to_f16_bits(static_cast<float>(rng.gaussian()));
+      v16[i] = f32_to_f16_bits(static_cast<float>(rng.gaussian()));
+      k32[i] = f16_bits_to_f32(k16[i]);
+      v32[i] = f16_bits_to_f32(v16[i]);
     }
-    const double expected = kernels::ref::dot_f16(a.data(), b.data(), n);
+    std::vector<float> q(static_cast<std::size_t>(n));
+    for (float& x : q) x = static_cast<float>(rng.gaussian());
     // Stored f16 expands exactly to f32, so the dequantizing dot is the
-    // plain dot of the expanded values — the property attention_row's
-    // fp16-KV path relies on.
-    EXPECT_EQ(expected, kernels::ref::dot(a_f32.data(), b.data(), n));
+    // plain dot of the expanded values — the property attention over an
+    // fp16 KV cache relies on.
+    EXPECT_EQ(kernels::ref::dot_f16(k16.data(), q.data(),
+                                    static_cast<std::size_t>(n)),
+              kernels::ref::dot(k32.data(), q.data(),
+                                static_cast<std::size_t>(n)));
+    const kernels::AttendShape shape{1, 1, n};
+    std::vector<float> scores(static_cast<std::size_t>(n_keys));
+    std::vector<float> expected(static_cast<std::size_t>(n));
+    kernels::ref::attend(shape, q.data(), {DType::kF16, k16.data(), n},
+                         {DType::kF16, v16.data(), n}, n_keys, scores.data(),
+                         expected.data());
     for_each_backend([&](const char* backend) {
-      EXPECT_EQ(kernels::dot_f16(a.data(), b.data(), n), expected)
+      std::vector<float> half(expected.size(), -1.0F);
+      std::vector<float> expanded(expected.size(), -1.0F);
+      kernels::attend(shape, q.data(), {DType::kF16, k16.data(), n},
+                      {DType::kF16, v16.data(), n}, n_keys, scores.data(),
+                      half.data());
+      kernels::attend(shape, q.data(), {DType::kF32, k32.data(), n},
+                      {DType::kF32, v32.data(), n}, n_keys, scores.data(),
+                      expanded.data());
+      EXPECT_EQ(std::memcmp(half.data(), expected.data(),
+                            expected.size() * sizeof(float)),
+                0)
+          << "n=" << n << " backend=" << backend;
+      EXPECT_EQ(std::memcmp(expanded.data(), expected.data(),
+                            expected.size() * sizeof(float)),
+                0)
           << "n=" << n << " backend=" << backend;
     });
   }

@@ -243,10 +243,10 @@ TEST(RadixCache, MissThenExactHitRoundTripsKvBits) {
   for (std::int64_t l = 0; l < config.n_layers; ++l) {
     const std::size_t floats =
         static_cast<std::size_t>(10 * cold.kv_dim);
-    EXPECT_EQ(std::memcmp(cold.k_at(l, 0), warm.k_at(l, 0),
+    EXPECT_EQ(std::memcmp(cold.k_raw(l, 0), warm.k_raw(l, 0),
                           floats * sizeof(float)),
               0);
-    EXPECT_EQ(std::memcmp(cold.v_at(l, 0), warm.v_at(l, 0),
+    EXPECT_EQ(std::memcmp(cold.v_raw(l, 0), warm.v_raw(l, 0),
                           floats * sizeof(float)),
               0);
   }
@@ -321,7 +321,7 @@ TEST(RadixCache, DivergentInsertSplitsSharedEdge) {
   auto ref = cache.acquire(second, probe);
   EXPECT_EQ(ref.matched(), 7);
   for (std::int64_t l = 0; l < config.n_layers; ++l) {
-    EXPECT_EQ(std::memcmp(b.k_at(l, 0), probe.k_at(l, 0),
+    EXPECT_EQ(std::memcmp(b.k_raw(l, 0), probe.k_raw(l, 0),
                           static_cast<std::size_t>(7 * b.kv_dim) *
                               sizeof(float)),
               0);

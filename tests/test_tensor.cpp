@@ -206,7 +206,6 @@ TEST(Ops, AddSubHadamard) {
   Tensor b({2}, {3, 5});
   EXPECT_EQ(ops::add(a, b)[1], 7.0F);
   EXPECT_EQ(ops::sub(b, a)[0], 2.0F);
-  EXPECT_EQ(ops::hadamard(a, b)[1], 10.0F);
   Tensor c({3});
   EXPECT_THROW(ops::add(a, c), Error);
 }
