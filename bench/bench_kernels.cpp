@@ -14,10 +14,13 @@
 //                           paths cheaply (CI smoke / sanitizer builds)
 //
 // A project_probe line per (weight dtype, served shape, row count) reports
-// microseconds per activation row and GFLOP/s of kernels::project; an
-// attend_probe line per (KV dtype, key count) the one-thread GFLOP/s of
-// kernels::attend at perfbench's head shape; an attend_share line the share
-// of a 16-row forward() at position 200 spent in attention; and a
+// microseconds per activation row and GFLOP/s of kernels::project, and one
+// per (dtype, row count) the q/k/v group as one grouped call vs three
+// separate ones; an attend_probe line per (KV dtype, key count) the
+// one-thread GFLOP/s of kernels::attend at perfbench's head shape; an
+// attend_share line the share of a 16-row forward() at position 200 spent
+// in attention (report only: the softmax's expf, one per key per query
+// head, now bounds attend()); and a
 // dispatch_probe line the p50 / p90 microseconds of an empty
 // ThreadPool::parallel_for over 4 indices on the global pool. None is
 // gated; attend results are checked against kernels::ref like every case.
@@ -324,6 +327,70 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Grouped vs separate q/k/v projections (ungated) ------------------------
+  // perfbench's q/k/v weights (128, 64 and 64 rows over d 128) at 8 and 16
+  // activation rows, fp32 and int8: three project() calls — each of the
+  // 64-row ones past kParallelMacs fans out on its own — against one
+  // project() over the group, which widens the rows once and fans all
+  // blocks out in one parallel_for. Best of alternating repetitions.
+  {
+    const std::int64_t in = 128;
+    const std::int64_t outs[] = {128, 64, 64};
+    std::vector<std::vector<float>> fw;
+    std::vector<std::vector<std::int8_t>> qw;
+    for (const std::int64_t out : outs) {
+      fw.push_back(random_vec(static_cast<std::size_t>(out * in), rng));
+      std::vector<std::int8_t>& q = qw.emplace_back(fw.back().size());
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        q[i] = static_cast<std::int8_t>(std::lround(fw.back()[i] * 127.0F));
+      }
+    }
+    const std::vector<float> qscales(128, 1.0F / 127.0F);
+    for (const DType dtype : {DType::kF32, DType::kI8}) {
+      for (const std::int64_t rows : {8, 16}) {
+        const std::vector<float> px =
+            random_vec(static_cast<std::size_t>(rows * in), rng);
+        std::vector<std::vector<float>> ys;
+        std::vector<kernels::Projection> group;
+        for (std::size_t v = 0; v < 3; ++v) {
+          ys.emplace_back(static_cast<std::size_t>(rows * outs[v]));
+          group.push_back(
+              {dtype == DType::kI8
+                   ? kernels::WeightView{dtype, qw[v].data(), qscales.data(),
+                                         outs[v], in}
+                   : kernels::WeightView{dtype, fw[v].data(), nullptr,
+                                         outs[v], in},
+               ys[v].data()});
+        }
+        const std::int64_t calls = quick ? 16 : 4096;
+        double separate = 1e300;
+        double grouped = 1e300;
+        for (int rep = 0; rep < sizes.mat_reps + 4; ++rep) {
+          separate = std::min(separate, best_ms(1, [&] {
+            for (std::int64_t c = 0; c < calls; ++c) {
+              for (const kernels::Projection& p : group) {
+                kernels::project(p.w, px.data(), p.y, rows);
+              }
+            }
+          }));
+          grouped = std::min(grouped, best_ms(1, [&] {
+            for (std::int64_t c = 0; c < calls; ++c) {
+              kernels::project(group, px.data(), rows);
+            }
+          }));
+        }
+        const double scale = 1e3 / static_cast<double>(calls);
+        std::printf(
+            "{\"bench\":\"project_probe\",\"dtype\":\"%s\",\"group\":"
+            "\"qkv\",\"outs\":\"128+64+64\",\"in\":%lld,\"rows\":%lld,"
+            "\"separate_us\":%.3f,\"grouped_us\":%.3f,\"speedup\":%.2f}\n",
+            dtype_name(dtype).c_str(), static_cast<long long>(in),
+            static_cast<long long>(rows), separate * scale, grouped * scale,
+            separate / grouped);
+      }
+    }
+  }
+
   // attend() probe (ungated) ------------------------------------------------
   // perfbench's head shape (head_dim 32, 4 query heads over 2 KV heads) on
   // one thread. GFLOP/s counts the score dots and the value mix, 4 *
@@ -344,7 +411,8 @@ int main(int argc, char** argv) {
     }
     const std::vector<float> q =
         random_vec(static_cast<std::size_t>(att_width), rng);
-    std::vector<float> scores(static_cast<std::size_t>(max_keys));
+    std::vector<float> scores(
+        static_cast<std::size_t>(heads.n_heads / heads.n_kv_heads * max_keys));
     std::vector<float> out(static_cast<std::size_t>(att_width));
     std::vector<float> expected(out.size());
     for (const DType dtype : {DType::kF32, DType::kF16}) {
@@ -433,7 +501,8 @@ int main(int argc, char** argv) {
       forward(model, groups, scratch, logits);
       for (SessionState& state : states) state.truncate(pos);
     });
-    std::vector<float> scores(static_cast<std::size_t>(pos + 1));
+    std::vector<float> scores(
+        static_cast<std::size_t>(heads.n_heads / heads.n_kv_heads * (pos + 1)));
     const double attend_ms = best_ms(reps, [&] {
       for (std::int64_t l = 0; l < config.n_layers; ++l) {
         for (std::int64_t r = 0; r < rows; ++r) {

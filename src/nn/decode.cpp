@@ -12,23 +12,20 @@ namespace chipalign {
 
 namespace {
 
-/// Y[rows, out] = X[rows, in] @ W^T for W [out, in] row-major, as one
-/// kernels::project call over the parameter's storage (fp32 values or the
-/// quantized payload, dequantized inside the kernel). Every output is the
-/// contract-reduced dot, so a row's bits do not depend on how many rows
-/// share the call.
-void project(const Parameter& p, const float* x, float* y,
-             std::int64_t rows) {
+/// W [out, in] row-major as a kernels::project view over the parameter's
+/// storage: fp32 values or the quantized payload, dequantized inside the
+/// kernel. Every output is the contract-reduced dot, so a row's bits do not
+/// depend on how many rows or weights share the call.
+kernels::WeightView weight_view(const Parameter& p) {
   using kernels::WeightView;
   const QuantTensor& q = p.qvalue;
-  const WeightView w =
-      !p.quantized()
-          ? WeightView{DType::kF32, p.value.data(), nullptr, p.value.dim(0),
-                       p.value.dim(1)}
-      : q.dtype == DType::kI8
-          ? WeightView{q.dtype, q.q.data(), q.scales.data(), q.rows, q.cols}
-          : WeightView{q.dtype, q.half.data(), nullptr, q.rows, q.cols};
-  kernels::project(w, x, y, rows);
+  return !p.quantized()
+             ? WeightView{DType::kF32, p.value.data(), nullptr,
+                          p.value.dim(0), p.value.dim(1)}
+         : q.dtype == DType::kI8
+             ? WeightView{q.dtype, q.q.data(), q.scales.data(), q.rows,
+                          q.cols}
+             : WeightView{q.dtype, q.half.data(), nullptr, q.rows, q.cols};
 }
 
 /// Copies the embedding row for `token` into x, dequantizing when the
@@ -59,15 +56,6 @@ float rmsnorm_row(std::span<const float> x, std::span<const float> gain,
   return r;
 }
 
-float sigmoid(float x) { return 1.0F / (1.0F + std::exp(-x)); }
-
-void swiglu_row(std::span<const float> gate, std::span<const float> up,
-                std::span<float> out) {
-  for (std::size_t i = 0; i < gate.size(); ++i) {
-    out[i] = gate[i] * sigmoid(gate[i]) * up[i];
-  }
-}
-
 DecodeScratch::DecodeScratch(const ModelConfig& config,
                              std::int64_t batch_limit)
     : max_batch(batch_limit) {
@@ -86,7 +74,9 @@ DecodeScratch::DecodeScratch(const ModelConfig& config,
   up.resize(b * d_ff);
   k_new.resize(b * kv);
   v_new.resize(b * kv);
-  scores.resize(b * static_cast<std::size_t>(config.max_seq_len));
+  scores.resize(b * static_cast<std::size_t>(config.n_heads /
+                                             config.n_kv_heads *
+                                             config.max_seq_len));
   row_state.resize(b);
   row_pos.resize(b);
 }
@@ -138,7 +128,8 @@ void forward(const TransformerModel& model,
   const auto d_ff = static_cast<std::size_t>(config.d_ff);
   const std::int64_t hd = config.head_dim();
   const auto kv = static_cast<std::size_t>(config.n_kv_heads * hd);
-  const auto seq = static_cast<std::size_t>(config.max_seq_len);
+  const auto row_scores = static_cast<std::size_t>(
+      config.n_heads / config.n_kv_heads * config.max_seq_len);
   const auto row_f = [](std::vector<float>& buf, std::int64_t r,
                         std::size_t dim) {
     return std::span<float>(buf.data() + static_cast<std::size_t>(r) * dim,
@@ -165,9 +156,11 @@ void forward(const TransformerModel& model,
       rmsnorm_row(row_f(scratch.x, r, d), block.input_norm.value.values(),
                   config.norm_eps, row_f(scratch.normed, r, d));
     }
-    project(block.q_proj, scratch.normed.data(), scratch.q.data(), rows);
-    project(block.k_proj, scratch.normed.data(), scratch.k_new.data(), rows);
-    project(block.v_proj, scratch.normed.data(), scratch.v_new.data(), rows);
+    const kernels::Projection qkv[] = {
+        {weight_view(block.q_proj), scratch.q.data()},
+        {weight_view(block.k_proj), scratch.k_new.data()},
+        {weight_view(block.v_proj), scratch.v_new.data()}};
+    kernels::project(qkv, scratch.normed.data(), rows);
 
     // Wave 1, on the caller (a few hundred flops per row): RoPE and the
     // K/V store. Fresh K/V rows are RoPE'd in fp32 scratch, then stored
@@ -199,7 +192,7 @@ void forward(const TransformerModel& model,
       const SessionState& state = *scratch.row_state[ri];
       kernels::attend(heads, scratch.q.data() + ri * d, state.k_view(l),
                       state.v_view(l), scratch.row_pos[ri] + 1,
-                      scratch.scores.data() + ri * seq,
+                      scratch.scores.data() + ri * row_scores,
                       scratch.att.data() + ri * d);
     };
     if (pool != nullptr) {
@@ -210,7 +203,8 @@ void forward(const TransformerModel& model,
       }
     }
 
-    project(block.o_proj, scratch.att.data(), scratch.proj.data(), rows);
+    kernels::project(weight_view(block.o_proj), scratch.att.data(),
+                     scratch.proj.data(), rows);
     for (std::int64_t r = 0; r < rows; ++r) {
       add_row(row_f(scratch.x, r, d), row_f(scratch.proj, r, d));
     }
@@ -219,14 +213,14 @@ void forward(const TransformerModel& model,
       rmsnorm_row(row_f(scratch.x, r, d), block.post_norm.value.values(),
                   config.norm_eps, row_f(scratch.normed, r, d));
     }
-    project(block.gate_proj, scratch.normed.data(), scratch.gate.data(),
-            rows);
-    project(block.up_proj, scratch.normed.data(), scratch.up.data(), rows);
-    for (std::int64_t r = 0; r < rows; ++r) {
-      swiglu_row(row_f(scratch.gate, r, d_ff), row_f(scratch.up, r, d_ff),
-                 row_f(scratch.gate, r, d_ff));
-    }
-    project(block.down_proj, scratch.gate.data(), scratch.proj.data(), rows);
+    const kernels::Projection gate_up[] = {
+        {weight_view(block.gate_proj), scratch.gate.data()},
+        {weight_view(block.up_proj), scratch.up.data()}};
+    kernels::project(gate_up, scratch.normed.data(), rows);
+    kernels::swiglu(scratch.gate.data(), scratch.up.data(),
+                    scratch.gate.data(), static_cast<std::size_t>(rows) * d_ff);
+    kernels::project(weight_view(block.down_proj), scratch.gate.data(),
+                     scratch.proj.data(), rows);
     for (std::int64_t r = 0; r < rows; ++r) {
       add_row(row_f(scratch.x, r, d), row_f(scratch.proj, r, d));
     }
@@ -238,7 +232,8 @@ void forward(const TransformerModel& model,
   }
   // The [vocab, d] tied LM head dominates per-token cost; above the kernel
   // layer's work threshold its output rows fan across the pool.
-  project(model.embed(), scratch.normed.data(), logits.data(), rows);
+  kernels::project(weight_view(model.embed()), scratch.normed.data(),
+                   logits.data(), rows);
   for (const ForwardGroup& group : groups) {
     group.state->position += static_cast<std::int64_t>(group.tokens.size());
   }

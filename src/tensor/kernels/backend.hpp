@@ -29,28 +29,30 @@ struct ProjectOut {
   std::int64_t out_stride = 0;
 };
 
-/// The head loop of every attend() body: per query head h, in order, over
-/// KV head h / (n_heads / n_kv_heads), scores[j] = float(dot(K row j, q_h))
-/// * 1/sqrt(head_dim) for j < n_keys, the one softmax, then mix(V head,
-/// out_h), which writes out_h from the probabilities in `scores`.
-template <typename Elem, typename Dot, typename Mix>
-inline void attend_heads(const AttendShape& shape, const float* q,
-                         const KvView& k, const KvView& v, std::int64_t n_keys,
-                         float* scores, float* out, const Dot& dot,
-                         const Mix& mix) {
+/// The KV-head loop of every attend() body. Per KV head g, over the
+/// `group` = n_heads / n_kv_heads query heads that read it (q_g = the
+/// group's first head, heads head_dim apart), in order:
+///   score(K head g, q_g, scale, scores): scores[i * n_keys + j] =
+///     float(dot(K row j, q head i)) * scale, scale = 1/sqrt(head_dim);
+///   the one softmax over each head's n_keys scores;
+///   mix(V head g, scores, out_g): writes the group's head outputs from
+///     those probabilities.
+template <typename Elem, typename Score, typename Mix>
+inline void attend_groups(const AttendShape& shape, const float* q,
+                          const KvView& k, const KvView& v,
+                          std::int64_t n_keys, float* scores, float* out,
+                          const Score& score, const Mix& mix) {
   const std::int64_t hd = shape.head_dim;
   const std::int64_t group = shape.n_heads / shape.n_kv_heads;
   const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-  for (std::int64_t h = 0; h < shape.n_heads; ++h) {
-    const std::int64_t off = (h / group) * hd;
-    const Elem* k_head = static_cast<const Elem*>(k.data) + off;
-    for (std::int64_t j = 0; j < n_keys; ++j) {
-      scores[j] =
-          static_cast<float>(dot(k_head + j * k.row_stride, q + h * hd)) *
-          scale;
+  for (std::int64_t g = 0; g < shape.n_kv_heads; ++g) {
+    const std::int64_t first = g * group * hd;
+    score(static_cast<const Elem*>(k.data) + g * hd, q + first, scale,
+          scores);
+    for (std::int64_t i = 0; i < group; ++i) {
+      softmax(scores + i * n_keys, static_cast<std::size_t>(n_keys));
     }
-    softmax(scores, static_cast<std::size_t>(n_keys));
-    mix(static_cast<const Elem*>(v.data) + off, out + h * hd);
+    mix(static_cast<const Elem*>(v.data) + g * hd, scores, out + first);
   }
 }
 

@@ -66,15 +66,21 @@ constexpr std::int64_t kProjectOutBlock = 32;
 /// Widened-activation doubles a thread keeps between project() calls.
 constexpr std::size_t kKeepWidened = std::size_t{1} << 15;
 
+/// Elements per SwiGLU task, and the element count from which swiglu()
+/// fans out; see the measured table in DESIGN.md §4d.
+constexpr std::int64_t kSwigluBlock = 256;
+constexpr std::int64_t kSwigluParallel = 1024;
+
 /// Splits [0, extent) into fixed `block`-sized chunks and runs body(lo, hi)
-/// for each, across the pool when the work is large enough. parallel_for
-/// itself degrades to inline execution on single-worker pools and when
-/// called from a pool worker (nested case).
+/// for each, across the global pool once `work` reaches `min_work`.
+/// parallel_for itself degrades to inline execution on single-worker pools
+/// and when called from a pool worker (nested case).
 template <typename Body>
 void blocked_parallel(std::int64_t extent, std::int64_t block,
-                      std::int64_t total_macs, const Body& body) {
+                      std::int64_t work, std::int64_t min_work,
+                      const Body& body) {
   const std::int64_t blocks = (extent + block - 1) / block;
-  if (blocks <= 1 || total_macs < kParallelMacs) {
+  if (blocks <= 1 || work < min_work) {
     body(0, extent);
     return;
   }
@@ -143,10 +149,22 @@ void softmax(float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= inv;
 }
 
+float sigmoid(float x) { return 1.0F / (1.0F + std::exp(-x)); }
+
+void swiglu(const float* gate, const float* up, float* out, std::size_t n) {
+  const auto extent = static_cast<std::int64_t>(n);
+  blocked_parallel(extent, kSwigluBlock, extent, kSwigluParallel,
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     for (std::int64_t i = lo; i < hi; ++i) {
+                       out[i] = gate[i] * sigmoid(gate[i]) * up[i];
+                     }
+                   });
+}
+
 void matmul(const float* a, const float* b, float* c, std::int64_t m,
             std::int64_t k, std::int64_t n) {
-  blocked_parallel(m, kRowBlock, m * k * n, [&](std::int64_t i0,
-                                                std::int64_t i1) {
+  blocked_parallel(m, kRowBlock, m * k * n, kParallelMacs,
+                   [&](std::int64_t i0, std::int64_t i1) {
 #if defined(CHIPALIGN_HAVE_AVX2)
     if (use_avx2()) return avx2::matmul_rows(a, b, c, i0, i1, k, n);
 #endif
@@ -156,8 +174,8 @@ void matmul(const float* a, const float* b, float* c, std::int64_t m,
 
 void matmul_tn_accum(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t n) {
-  blocked_parallel(n, kColBlock, m * k * n, [&](std::int64_t j0,
-                                                std::int64_t j1) {
+  blocked_parallel(n, kColBlock, m * k * n, kParallelMacs,
+                   [&](std::int64_t j0, std::int64_t j1) {
 #if defined(CHIPALIGN_HAVE_AVX2)
     if (use_avx2()) return avx2::matmul_tn_cols(a, b, c, m, k, n, j0, j1);
 #endif
@@ -183,45 +201,83 @@ void project_panel(const WeightView& w, const double* xd,
   generic::project_block(w, panel, out, r0, r1, o0, o1);
 }
 
-/// project() with an explicit output placement (matmul_nt_i8 writes the
-/// transpose). The calling thread widens the activations to fp64 once,
-/// into its own buffer that every panel reads; weights are never widened
-/// in memory. Blocks of kProjectRowBlock rows x kProjectOutBlock weight
-/// rows fan out above kParallelMacs; geometry depends only on the shape.
-void project_into(const WeightView& w, const float* x, const ProjectOut& out,
-                  std::int64_t n_rows, ThreadPool* pool) {
-  CA_CHECK(w.data != nullptr || w.rows * w.cols == 0,
-           "project: weight view has no data");
-  CA_CHECK(w.dtype != DType::kI8 || w.scales != nullptr,
-           "project: int8 weights need per-row scales");
-  if (n_rows <= 0 || w.rows <= 0) return;
+/// Where projection p's outputs land: [n_rows, w.rows] row-major, or
+/// weight-row major [w.rows, n_rows] (matmul_nt_i8's transpose).
+ProjectOut placement(const Projection& p, std::int64_t n_rows,
+                     bool weight_major) {
+  return weight_major ? ProjectOut{p.y, 1, n_rows}
+                      : ProjectOut{p.y, p.w.rows, 1};
+}
+
+std::int64_t out_blocks(const WeightView& w) {
+  return (w.rows + kProjectOutBlock - 1) / kProjectOutBlock;
+}
+
+/// Block `block` of view p: kProjectRowBlock activation rows x
+/// kProjectOutBlock weight rows, weight-row blocks fastest.
+void project_task(const Projection& p, const double* xd, std::int64_t block,
+                  std::int64_t n_rows, bool weight_major) {
+  const std::int64_t r0 = (block / out_blocks(p.w)) * kProjectRowBlock;
+  const std::int64_t o0 = (block % out_blocks(p.w)) * kProjectOutBlock;
+  project_panel(p.w, xd, placement(p, n_rows, weight_major), r0,
+                std::min(r0 + kProjectRowBlock, n_rows), o0,
+                std::min(o0 + kProjectOutBlock, p.w.rows));
+}
+
+/// project() with an optional transposed output placement. The calling
+/// thread widens the activations to fp64 once, into its own buffer that
+/// every panel of every view reads; weights are never widened in memory.
+/// Each view keeps its own blocks of kProjectRowBlock rows x
+/// kProjectOutBlock weight rows; once the group's MACs reach kParallelMacs
+/// all of them fan out in one parallel_for. Geometry depends only on the
+/// shapes.
+void project_into(std::span<const Projection> group, const float* x,
+                  std::int64_t n_rows, ThreadPool* pool, bool weight_major) {
+  const std::int64_t cols = group.empty() ? 0 : group.front().w.cols;
+  const std::int64_t row_blocks =
+      (n_rows + kProjectRowBlock - 1) / kProjectRowBlock;
+  std::int64_t macs = 0;
+  std::int64_t blocks = 0;
+  for (const Projection& p : group) {
+    CA_CHECK(p.w.data != nullptr || p.w.rows * p.w.cols == 0,
+             "project: weight view has no data");
+    CA_CHECK(p.w.dtype != DType::kI8 || p.w.scales != nullptr,
+             "project: int8 weights need per-row scales");
+    CA_CHECK(p.w.cols == cols, "project: a group's views read "
+                                   << cols << " columns, not " << p.w.cols);
+    if (p.w.rows <= 0) continue;
+    macs += n_rows * p.w.rows * cols;
+    blocks += row_blocks * out_blocks(p.w);
+  }
+  if (n_rows <= 0 || blocks <= 0) return;
   thread_local std::vector<double> xd;
-  xd.assign(x, x + n_rows * w.cols);
+  xd.assign(x, x + n_rows * cols);
   // Named pointer, not `xd`: inside the fan-out lambda `xd` would name the
   // running worker's own (empty) thread_local.
   const double* widened = xd.data();
-  const std::int64_t row_blocks =
-      (n_rows + kProjectRowBlock - 1) / kProjectRowBlock;
-  const std::int64_t out_blocks =
-      (w.rows + kProjectOutBlock - 1) / kProjectOutBlock;
-  if (n_rows * w.rows * w.cols < kParallelMacs ||
-      row_blocks * out_blocks <= 1) {
-    for (std::int64_t r0 = 0; r0 < n_rows; r0 += kProjectRowBlock) {
-      project_panel(w, widened, out, r0,
-                    std::min(r0 + kProjectRowBlock, n_rows), 0, w.rows);
+  if (macs < kParallelMacs || blocks <= 1) {
+    for (const Projection& p : group) {
+      if (p.w.rows <= 0) continue;
+      for (std::int64_t r0 = 0; r0 < n_rows; r0 += kProjectRowBlock) {
+        project_panel(p.w, widened, placement(p, n_rows, weight_major), r0,
+                      std::min(r0 + kProjectRowBlock, n_rows), 0, p.w.rows);
+      }
     }
   } else {
+    // Task `index` is block `index` of the group's views laid end to end.
+    const auto task = [&](std::size_t index) {
+      auto block = static_cast<std::int64_t>(index);
+      for (const Projection& p : group) {
+        if (p.w.rows <= 0) continue;
+        const std::int64_t own = row_blocks * out_blocks(p.w);
+        if (block < own) {
+          return project_task(p, widened, block, n_rows, weight_major);
+        }
+        block -= own;
+      }
+    };
     ThreadPool& chosen = pool != nullptr ? *pool : global_thread_pool();
-    chosen.parallel_for(
-        static_cast<std::size_t>(row_blocks * out_blocks),
-        [&](std::size_t index) {
-          const auto block = static_cast<std::int64_t>(index);
-          const std::int64_t r0 = (block / out_blocks) * kProjectRowBlock;
-          const std::int64_t o0 = (block % out_blocks) * kProjectOutBlock;
-          project_panel(w, widened, out, r0,
-                        std::min(r0 + kProjectRowBlock, n_rows), o0,
-                        std::min(o0 + kProjectOutBlock, w.rows));
-        });
+    chosen.parallel_for(static_cast<std::size_t>(blocks), task);
   }
   // A serving call keeps its few KB for the next one; a whole-sequence
   // forward (thousands of rows) gives its megabytes back.
@@ -230,9 +286,9 @@ void project_into(const WeightView& w, const float* x, const ProjectOut& out,
 
 }  // namespace
 
-void project(const WeightView& w, const float* x, float* y,
+void project(std::span<const Projection> group, const float* x,
              std::int64_t n_rows, ThreadPool* pool) {
-  project_into(w, x, ProjectOut{y, w.rows, 1}, n_rows, pool);
+  project_into(group, x, n_rows, pool, false);
 }
 
 void matmul_nt(const float* a, const float* b, float* c, std::int64_t m,
@@ -242,8 +298,8 @@ void matmul_nt(const float* a, const float* b, float* c, std::int64_t m,
 
 void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
                   float* c, std::int64_t m, std::int64_t k, std::int64_t n) {
-  project_into(WeightView{DType::kI8, a, a_scales, m, k}, b,
-               ProjectOut{c, 1, n}, n, nullptr);
+  const Projection weights{WeightView{DType::kI8, a, a_scales, m, k}, c};
+  project_into(std::span<const Projection>(&weights, 1), b, n, nullptr, true);
 }
 
 // -- attention ----------------------------------------------------------------

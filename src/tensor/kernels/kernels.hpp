@@ -4,9 +4,9 @@
 ///
 /// This layer provides the hot inner loops behind tensor_ops: dot, norm,
 /// axpy, scale, the fused scaled_sum (a*x + b*y — the SLERP combine),
-/// softmax, blocked matmul variants, and the one projection (project())
-/// and attention (attend()) entries behind every serving step. Two backends
-/// implement the same bit-level contract:
+/// softmax, blocked matmul variants, and the projection (project()),
+/// attention (attend()) and SwiGLU (swiglu()) entries behind every serving
+/// step. Two backends implement the same bit-level contract:
 ///
 ///   - generic: unrolled multi-accumulator scalar code the compiler can
 ///     auto-vectorize; always compiled.
@@ -40,9 +40,9 @@
 /// bitwise equality of every backend against it on random shapes.
 ///
 /// Large multiplies parallelize across a ThreadPool in fixed-size row
-/// (matmul), column (matmul_tn_accum) or (row, weight-row) (project) blocks;
-/// block geometry depends only on the problem shape, never on the thread
-/// count.
+/// (matmul), column (matmul_tn_accum) or (row, weight-row) (project) blocks,
+/// and a large swiglu in fixed element blocks; block geometry depends only
+/// on the problem shape, never on the thread count.
 ///
 /// ## Quantized weights and fp16 KV
 ///
@@ -59,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "tensor/dtype.hpp"
 
@@ -111,6 +112,17 @@ void scaled_sum(float a, const float* x, float b, const float* y, float* out,
 /// fp64 in index order. Scalar, one copy for every backend and ref.
 void softmax(float* x, std::size_t n);
 
+/// 1 / (1 + exp(-x)) in fp32: the one sigmoid, shared by swiglu() and the
+/// training backward pass.
+float sigmoid(float x);
+
+/// out[i] = gate[i] * sigmoid(gate[i]) * up[i], the SwiGLU combine; `out`
+/// may alias `gate` or `up`. Scalar per element, one copy for every backend
+/// and ref; from a measured element count on (DESIGN.md §4d) fixed blocks
+/// fan across the global pool, and since every output is one element's
+/// arithmetic the bits are the same for any split or pool size.
+void swiglu(const float* gate, const float* up, float* out, std::size_t n);
+
 // -- blocked matmul kernels ---------------------------------------------------
 
 /// c[m,n] += a[m,k] @ b[k,n], row-major, fp32 accumulation in (i, k, j)
@@ -141,21 +153,38 @@ struct WeightView {
   std::int64_t cols = 0;
 };
 
-/// y[r * w.rows + o] = dot(W row o, x row r) for r in [0, n_rows), with x
-/// row-major [n_rows, w.cols]: the contract-reduced (8-lane fp64, fixed
-/// pairwise tree) inner product, applied to the exactly dequantized weight
-/// row; int8 outputs are float(double(scales[o]) * dot). One row is a
-/// matvec, B rows a batched decode step, T rows a verify block — every
-/// output has the same bits whatever the row count, the tiling or the
-/// backend, so project(w, x, y, 1) == kernels::ref::matvec (and the _f16 /
-/// _bf16 / _i8 variants) bit-for-bit.
+/// One weight matrix of a projection group and where its outputs land:
+/// y[r * w.rows + o] = dot(W row o, x row r).
+struct Projection {
+  WeightView w;
+  float* y = nullptr;
+};
+
+/// Every projection of `group` over the same activations x, row-major
+/// [n_rows, cols] (every view has `cols` columns): y[r * w.rows + o] =
+/// dot(W row o, x row r) for r in [0, n_rows), the contract-reduced (8-lane
+/// fp64, fixed pairwise tree) inner product, applied to the exactly
+/// dequantized weight row; int8 outputs are float(double(scales[o]) * dot).
+/// One row is a matvec, B rows a batched decode step, T rows a verify block
+/// — every output has the same bits whatever the row count, the group, the
+/// tiling or the backend, so a one-row call == kernels::ref::matvec (and
+/// the _f16 / _bf16 / _i8 variants) bit-for-bit.
 ///
-/// From kParallelMacs on, the (row, weight-row) blocks fan across `pool`
-/// (nullptr selects the global pool); each output is written by
-/// exactly one task, so the result is identical for any pool size,
-/// including the inline nested case inside a pool worker.
-void project(const WeightView& w, const float* x, float* y,
+/// x is widened to fp64 once for the whole group. Each view keeps its own
+/// (row, weight-row) block geometry; from kParallelMacs (the group's total)
+/// on, the blocks of every view fan across `pool` (nullptr selects the
+/// global pool) in ONE parallel_for. Each output is written by exactly one
+/// task, so the result is identical for any pool size, including the
+/// inline nested case inside a pool worker.
+void project(std::span<const Projection> group, const float* x,
              std::int64_t n_rows, ThreadPool* pool = nullptr);
+
+/// project() of a single weight matrix: a group of one.
+inline void project(const WeightView& w, const float* x, float* y,
+                    std::int64_t n_rows, ThreadPool* pool = nullptr) {
+  const Projection one{w, y};
+  project(std::span<const Projection>(&one, 1), x, n_rows, pool);
+}
 
 /// matmul_nt() with int8 weights as the A operand: c[i,j] =
 /// float(double(a_scales[i]) * ref::dot_i8(a row i, b row j)), i.e. project()
@@ -183,13 +212,16 @@ struct AttendShape {
 };
 
 /// Causal attention of one query row over keys [0, n_keys), `scores`
-/// [>= n_keys] as scratch. Per query head h, in order:
+/// [>= (n_heads / n_kv_heads) * n_keys] as scratch. Per query head h, in
+/// order:
 ///   scores[j] = float(contract dot(q_h, K_j)) * (1 / sqrt(head_dim))
 ///   softmax(scores[0, n_keys))
 ///   out_h[i]  = ((0 + p_0 * V_0[i]) + p_1 * V_1[i]) + ..., in key order
-/// Vectorized over head_dim only, never across keys, so every backend
-/// equals ref::attend bit-for-bit. The views' dtype (k and v share it)
-/// picks the backend once per call; fp16 KV without F16C runs generic.
+/// Backends run it one KV head at a time over the query heads that share
+/// it (scores [group, n_keys]) and vectorize over head_dim and heads, never
+/// across keys within one sum, so every backend equals ref::attend
+/// bit-for-bit. The views' dtype (k and v share it) picks the backend once
+/// per call; fp16 KV without F16C runs generic.
 void attend(const AttendShape& shape, const float* q, const KvView& k,
             const KvView& v, std::int64_t n_keys, float* scores, float* out);
 
@@ -222,12 +254,11 @@ void matvec_i8(const std::int8_t* w, const float* scales, const float* x,
                float* y, std::int64_t out_dim, std::int64_t in_dim);
 void matmul_nt_f16(const std::uint16_t* a, const float* b, float* c,
                    std::int64_t m, std::int64_t k, std::int64_t n);
-void matmul_nt_bf16(const std::uint16_t* a, const float* b, float* c,
-                    std::int64_t m, std::int64_t k, std::int64_t n);
 void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
                   float* c, std::int64_t m, std::int64_t k, std::int64_t n);
 void attend(const AttendShape& shape, const float* q, const KvView& k,
             const KvView& v, std::int64_t n_keys, float* scores, float* out);
+void swiglu(const float* gate, const float* up, float* out, std::size_t n);
 }  // namespace ref
 
 }  // namespace chipalign::kernels

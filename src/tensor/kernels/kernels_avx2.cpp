@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "tensor/half.hpp"
 #include "tensor/kernels/backend.hpp"
@@ -322,33 +323,214 @@ void project_block_t(const WeightView& w, const double* xd,
 
 // -- attention ----------------------------------------------------------------
 
-/// attend over one KV load trait: dot_lanes scores, then the value rows
-/// accumulated into the head's output in key order, 8 elements at a time,
-/// one mul then one add each — kernels::axpy's arithmetic, key by key.
+/// Query heads per attention register tile. The score tile keeps 2 keys x 2
+/// heads of Lanes (8 accumulators) beside one key's widened 8-block; the
+/// mix tile keeps 2 heads x kMixBlocks output 8-blocks (8 registers) beside
+/// one key's kMixBlocks value blocks.
+constexpr int kAttendHeads = 2;
+constexpr int kMixBlocks = 4;
+
+/// Scores of K keys (rows ks[0..K)) against H query heads widened to fp64
+/// (qs[0..H), each zero-padded to a whole 8-block), n = head_dim: (key c,
+/// head i) lands at s[i * head_stride + c]. Each key 8-block is widened once
+/// and feeds every head; each dot keeps dot_lanes' lane assignment and
+/// combine, with the n % 8 tail zero-padded as in tile(), so the score is
+/// float(ref::dot) * scale bit-for-bit.
+template <typename L, int K, int H>
+inline void score_tile(const typename L::Elem* const* ks,
+                       const double* const* qs, std::size_t n, float scale,
+                       float* s, std::int64_t head_stride) {
+  static_assert(K >= 1 && K <= 2 && H >= 1 && H <= kAttendHeads,
+                "score tile shape");
+  using Elem = typename L::Elem;
+  Lanes a00, a01, a10, a11;  // a<key><head>
+  const auto step = [&](const Elem* const* kp, std::size_t ki,
+                        std::size_t qi) {
+    __m256d lo, hi;
+    L::load(kp[0] + ki, lo, hi);
+    a00.fma(lo, hi, qs[0] + qi);
+    if constexpr (H > 1) a01.fma(lo, hi, qs[1] + qi);
+    if constexpr (K > 1) {
+      L::load(kp[1] + ki, lo, hi);
+      a10.fma(lo, hi, qs[0] + qi);
+      if constexpr (H > 1) a11.fma(lo, hi, qs[1] + qi);
+    }
+  };
+  const std::size_t n8 = n & ~(kLanes - 1);
+  for (std::size_t i = 0; i < n8; i += kLanes) step(ks, i, i);
+  if (n8 < n) {
+    Tail<Elem> kt[K];
+    const Elem* tails[K];
+    for (int c = 0; c < K; ++c) tails[c] = kt[c].fill(ks[c] + n8, n - n8);
+    step(tails, 0, n8);
+  }
+  const auto put = [&](int c, int i, const Lanes& acc) {
+    s[i * head_stride + c] = static_cast<float>(acc.combine()) * scale;
+  };
+  put(0, 0, a00);
+  if constexpr (H > 1) put(0, 1, a01);
+  if constexpr (K > 1) put(1, 0, a10);
+  if constexpr (K > 1 && H > 1) put(1, 1, a11);
+}
+
+/// score_tile<L, K, h> for a runtime head count h in [1, H].
+template <typename L, int K, int H>
+inline void score_heads(int h, const typename L::Elem* const* ks,
+                        const double* const* qs, std::size_t n, float scale,
+                        float* s, std::int64_t head_stride) {
+  if constexpr (H > 1) {
+    if (h < H) {
+      return score_heads<L, K, H - 1>(h, ks, qs, n, scale, s, head_stride);
+    }
+  }
+  score_tile<L, K, H>(ks, qs, n, scale, s, head_stride);
+}
+
+/// Output 8-blocks [0, C) of H heads (head i at out + i * out_stride,
+/// probabilities at p + i * p_stride) over keys [0, n_keys): the heads'
+/// 8C columns stay in registers across every key. Each key's C value blocks
+/// are converted once; then each head takes one mul by its probability and
+/// one add, in key order — ref::attend's axpy arithmetic, element by
+/// element.
+template <typename L, int C, int H>
+inline void mix_tile(const typename L::Elem* v0, std::int64_t stride,
+                     std::int64_t n_keys, const float* p,
+                     std::int64_t p_stride, float* out,
+                     std::int64_t out_stride) {
+  static_assert(C >= 1 && C <= kMixBlocks && H >= 1 && H <= kAttendHeads,
+                "mix tile shape");
+  const auto acc = [](__m256& o, __m256 prob, __m256 x) {
+    o = _mm256_add_ps(o, _mm256_mul_ps(prob, x));
+  };
+  __m256 o00 = _mm256_setzero_ps(), o01 = o00, o02 = o00, o03 = o00;
+  __m256 o10 = o00, o11 = o00, o12 = o00, o13 = o00;
+  for (std::int64_t j = 0; j < n_keys; ++j) {
+    const typename L::Elem* row = v0 + j * stride;
+    const __m256 x0 = L::vec(row);
+    __m256 x1 = x0, x2 = x0, x3 = x0;
+    if constexpr (C > 1) x1 = L::vec(row + 8);
+    if constexpr (C > 2) x2 = L::vec(row + 16);
+    if constexpr (C > 3) x3 = L::vec(row + 24);
+    const __m256 p0 = _mm256_broadcast_ss(p + j);
+    acc(o00, p0, x0);
+    if constexpr (C > 1) acc(o01, p0, x1);
+    if constexpr (C > 2) acc(o02, p0, x2);
+    if constexpr (C > 3) acc(o03, p0, x3);
+    if constexpr (H > 1) {
+      const __m256 p1 = _mm256_broadcast_ss(p + p_stride + j);
+      acc(o10, p1, x0);
+      if constexpr (C > 1) acc(o11, p1, x1);
+      if constexpr (C > 2) acc(o12, p1, x2);
+      if constexpr (C > 3) acc(o13, p1, x3);
+    }
+  }
+  _mm256_storeu_ps(out, o00);
+  if constexpr (C > 1) _mm256_storeu_ps(out + 8, o01);
+  if constexpr (C > 2) _mm256_storeu_ps(out + 16, o02);
+  if constexpr (C > 3) _mm256_storeu_ps(out + 24, o03);
+  if constexpr (H > 1) {
+    float* out1 = out + out_stride;
+    _mm256_storeu_ps(out1, o10);
+    if constexpr (C > 1) _mm256_storeu_ps(out1 + 8, o11);
+    if constexpr (C > 2) _mm256_storeu_ps(out1 + 16, o12);
+    if constexpr (C > 3) _mm256_storeu_ps(out1 + 24, o13);
+  }
+}
+
+/// mix_tile<L, c, h> for runtime c <= C value blocks and h <= H heads.
+template <typename L, int C, int H>
+inline void mix_any(int c, int h, const typename L::Elem* v0,
+                    std::int64_t stride, std::int64_t n_keys, const float* p,
+                    std::int64_t p_stride, float* out,
+                    std::int64_t out_stride) {
+  if constexpr (C > 1) {
+    if (c < C) {
+      return mix_any<L, C - 1, H>(c, h, v0, stride, n_keys, p, p_stride, out,
+                                  out_stride);
+    }
+  }
+  if constexpr (H > 1) {
+    if (h < H) {
+      return mix_any<L, C, H - 1>(c, h, v0, stride, n_keys, p, p_stride, out,
+                                  out_stride);
+    }
+  }
+  mix_tile<L, C, H>(v0, stride, n_keys, p, p_stride, out, out_stride);
+}
+
+/// attend over one KV load trait, one GQA group at a time: the group's
+/// query heads are widened to fp64 once, keys are scored in pairs against
+/// up to kAttendHeads heads per tile, and the mix runs over 32-column
+/// chunks of up to kAttendHeads heads, each chunk held in registers across
+/// all keys; a head_dim % 8 tail is mixed per element in key order.
 template <typename L>
 void attend_t(const AttendShape& shape, const float* q, const KvView& k,
               const KvView& v, std::int64_t n_keys, float* scores,
               float* out) {
   using Elem = typename L::Elem;
   const std::int64_t hd = shape.head_dim;
-  const auto dot = [&](const Elem* k_row, const float* q_h) {
-    return dot_lanes<L>(k_row, q_h, static_cast<std::size_t>(hd));
-  };
-  const auto mix = [&](const Elem* v_head, float* out_h) {
-    std::fill(out_h, out_h + hd, 0.0F);
-    for (std::int64_t j = 0; j < n_keys; ++j) {
-      const __m256 p = _mm256_set1_ps(scores[j]);
-      const Elem* row = v_head + j * v.row_stride;
-      std::int64_t i = 0;
-      for (; i + 8 <= hd; i += 8) {
-        const __m256 pv = _mm256_mul_ps(p, L::vec(row + i));
-        _mm256_storeu_ps(out_h + i,
-                         _mm256_add_ps(_mm256_loadu_ps(out_h + i), pv));
+  const auto n = static_cast<std::size_t>(hd);
+  const std::int64_t group = shape.n_heads / shape.n_kv_heads;
+  const std::int64_t padded = (hd + 7) & ~std::int64_t{7};
+  thread_local std::vector<double> qd;
+  const auto score = [&](const Elem* k_head, const float* q_g, float scale,
+                         float* s) {
+    qd.assign(static_cast<std::size_t>(group * padded), 0.0);
+    for (std::int64_t h = 0; h < group; ++h) {
+      std::copy(q_g + h * hd, q_g + (h + 1) * hd, qd.begin() + h * padded);
+    }
+    for (std::int64_t h0 = 0; h0 < group; h0 += kAttendHeads) {
+      const int hh =
+          static_cast<int>(std::min<std::int64_t>(kAttendHeads, group - h0));
+      const double* qs[kAttendHeads] = {
+          qd.data() + h0 * padded, qd.data() + (h0 + hh - 1) * padded};
+      float* s_h = s + h0 * n_keys;
+      std::int64_t j = 0;
+      for (; j + 2 <= n_keys; j += 2) {
+        const Elem* ks[2] = {k_head + j * k.row_stride,
+                             k_head + (j + 1) * k.row_stride};
+        score_heads<L, 2, kAttendHeads>(hh, ks, qs, n, scale, s_h + j,
+                                        n_keys);
       }
-      for (; i < hd; ++i) out_h[i] += scores[j] * L::scalar(row[i]);
+      if (j < n_keys) {
+        const Elem* ks[1] = {k_head + j * k.row_stride};
+        score_heads<L, 1, kAttendHeads>(hh, ks, qs, n, scale, s_h + j,
+                                        n_keys);
+      }
     }
   };
-  attend_heads<Elem>(shape, q, k, v, n_keys, scores, out, dot, mix);
+  const auto mix = [&](const Elem* v_head, const float* p, float* out_g) {
+    for (std::int64_t h0 = 0; h0 < group; h0 += kAttendHeads) {
+      const int hh =
+          static_cast<int>(std::min<std::int64_t>(kAttendHeads, group - h0));
+      const float* p_h = p + h0 * n_keys;
+      float* out_h = out_g + h0 * hd;
+      const auto chunk = [&](std::int64_t c, int blocks) {
+        mix_any<L, kMixBlocks, kAttendHeads>(blocks, hh, v_head + c,
+                                             v.row_stride, n_keys, p_h,
+                                             n_keys, out_h + c, hd);
+      };
+      std::int64_t c = 0;
+      for (; c + 8 * kMixBlocks <= hd; c += 8 * kMixBlocks) {
+        chunk(c, kMixBlocks);
+      }
+      if (const auto rest = static_cast<int>((hd - c) / 8); rest > 0) {
+        chunk(c, rest);
+        c += 8 * rest;
+      }
+      for (int i = 0; i < hh; ++i) {
+        for (std::int64_t e = c; e < hd; ++e) {
+          float sum = 0.0F;
+          for (std::int64_t j = 0; j < n_keys; ++j) {
+            sum += p_h[i * n_keys + j] *
+                   L::scalar(v_head[j * v.row_stride + e]);
+          }
+          out_h[i * hd + e] = sum;
+        }
+      }
+    }
+  };
+  attend_groups<Elem>(shape, q, k, v, n_keys, scores, out, score, mix);
 }
 
 }  // namespace

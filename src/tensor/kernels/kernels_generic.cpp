@@ -71,25 +71,39 @@ void project_block_t(const WeightView& w, const double* xd,
   }
 }
 
-/// attend over one KV storage type: dot_q scores, then the value rows
-/// accumulated in key order, one dependence-free pass over head_dim each.
+/// attend over one KV storage type: dot_q scores per query head of the
+/// group, then each head's value rows accumulated in key order, one
+/// dependence-free pass over head_dim each.
 template <typename T, typename Load>
 void attend_t(const AttendShape& shape, const float* q, const KvView& k,
               const KvView& v, std::int64_t n_keys, float* scores, float* out,
               Load load) {
-  const auto n = static_cast<std::size_t>(shape.head_dim);
-  const auto dot = [&](const T* k_row, const float* q_h) {
-    return dot_q(k_row, q_h, n, load);
-  };
-  const auto mix = [&](const T* v_head, float* out_h) {
-    std::fill(out_h, out_h + n, 0.0F);
-    for (std::int64_t j = 0; j < n_keys; ++j) {
-      const float p = scores[j];
-      const T* v_row = v_head + j * v.row_stride;
-      for (std::size_t i = 0; i < n; ++i) out_h[i] += p * load(v_row[i]);
+  const std::int64_t hd = shape.head_dim;
+  const auto n = static_cast<std::size_t>(hd);
+  const std::int64_t group = shape.n_heads / shape.n_kv_heads;
+  const auto score = [&](const T* k_head, const float* q_g, float scale,
+                         float* s) {
+    for (std::int64_t h = 0; h < group; ++h) {
+      for (std::int64_t j = 0; j < n_keys; ++j) {
+        s[h * n_keys + j] =
+            static_cast<float>(
+                dot_q(k_head + j * k.row_stride, q_g + h * hd, n, load)) *
+            scale;
+      }
     }
   };
-  attend_heads<T>(shape, q, k, v, n_keys, scores, out, dot, mix);
+  const auto mix = [&](const T* v_head, const float* p, float* out_g) {
+    for (std::int64_t h = 0; h < group; ++h) {
+      float* out_h = out_g + h * hd;
+      std::fill(out_h, out_h + n, 0.0F);
+      for (std::int64_t j = 0; j < n_keys; ++j) {
+        const float p_j = p[h * n_keys + j];
+        const T* v_row = v_head + j * v.row_stride;
+        for (std::size_t i = 0; i < n; ++i) out_h[i] += p_j * load(v_row[i]);
+      }
+    }
+  };
+  attend_groups<T>(shape, q, k, v, n_keys, scores, out, score, mix);
 }
 
 }  // namespace

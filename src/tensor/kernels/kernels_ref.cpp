@@ -194,18 +194,6 @@ void matmul_nt_f16(const std::uint16_t* a, const float* b, float* c,
   }
 }
 
-void matmul_nt_bf16(const std::uint16_t* a, const float* b, float* c,
-                    std::int64_t m, std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::uint16_t* a_row = a + i * k;
-    float* c_row = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      c_row[j] = static_cast<float>(
-          dot_bf16(a_row, b + j * k, static_cast<std::size_t>(k)));
-    }
-  }
-}
-
 void matmul_nt_i8(const std::int8_t* a, const float* a_scales, const float* b,
                   float* c, std::int64_t m, std::int64_t k, std::int64_t n) {
   for (std::int64_t i = 0; i < m; ++i) {
@@ -261,6 +249,12 @@ void attend(const AttendShape& shape, const float* q, const KvView& k,
         axpy(scores[j], static_cast<const float*>(v.data) + at, out_h, n);
       }
     }
+  }
+}
+
+void swiglu(const float* gate, const float* up, float* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = gate[i] * sigmoid(gate[i]) * up[i];
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/decode.hpp"
+#include "tensor/kernels/kernels.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "util/error.hpp"
 
@@ -187,7 +188,8 @@ Tensor TrainableModel::forward(const std::vector<TokenId>& tokens) {
     bc.up_out = ops::matmul_nt(bc.normed2, block.up_proj.value);
 
     bc.h = Tensor(bc.gate_pre.shape());
-    swiglu_row(bc.gate_pre.values(), bc.up_out.values(), bc.h.values());
+    kernels::swiglu(bc.gate_pre.data(), bc.up_out.data(), bc.h.data(),
+                    static_cast<std::size_t>(bc.h.numel()));
     const Tensor mlp_out = ops::matmul_nt(bc.h, block.down_proj.value);
     x = ops::add(bc.x_mid, mlp_out);
   }
@@ -257,7 +259,7 @@ void TrainableModel::backward(const Tensor& dlogits) {
       auto dg = dgate_pre.values();
       auto du = dup.values();
       for (std::size_t i = 0; i < dhv.size(); ++i) {
-        const float sg = sigmoid(gate[i]);
+        const float sg = kernels::sigmoid(gate[i]);
         const float silu = gate[i] * sg;
         du[i] = dhv[i] * silu;
         // d silu / d gate = sg * (1 + gate * (1 - sg))

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -331,6 +333,40 @@ struct StoredWeights {
 const DType kWeightDtypes[] = {DType::kF32, DType::kF16, DType::kBF16,
                                DType::kI8};
 
+/// Weight row o holds the same c = 1 + o % 7 at columns 0, 4 and 6 in
+/// every stored dtype: the weight half of a crafted-cancellation row.
+void craft_cancelling_columns(StoredWeights& w) {
+  for (std::int64_t o = 0; o < w.rows; ++o) {
+    const auto c = static_cast<float>(1 + o % 7);
+    for (const std::int64_t col : {0, 4, 6}) {
+      const auto at = static_cast<std::size_t>(o * w.cols + col);
+      w.f32[at] = c;
+      w.f16[at] = f32_to_f16_bits(c);
+      w.bf16[at] = f32_to_bf16_bits(c);
+      w.i8[at] = static_cast<std::int8_t>(c);
+    }
+  }
+}
+
+/// [n_rows, cols] activations, cols >= 7: even rows are x = 1, -1 and
+/// 2^-60 at columns 0, 4 and 6 (0 elsewhere), so against
+/// craft_cancelling_columns weights lanes 0 and 4 cancel and lane 6's
+/// c * 2^-60 is lost to ((l4+l5)+(l6+l7)) rounding to -c — the contract
+/// output is exactly 0, where a serial sum or another tree gives c * 2^-60.
+/// Odd rows are random, so a block written to the wrong place shows too.
+std::vector<float> crafted_rows(std::int64_t n_rows, std::int64_t cols,
+                                Rng& rng) {
+  auto x = random_vec(static_cast<std::size_t>(n_rows * cols), rng);
+  for (std::int64_t r = 0; r < n_rows; r += 2) {
+    float* row = x.data() + r * cols;
+    std::fill(row, row + cols, 0.0F);
+    row[0] = 1.0F;
+    row[4] = -1.0F;
+    row[6] = std::ldexp(1.0F, -60);
+  }
+  return x;
+}
+
 // The one projection entry against kernels::ref in every weight dtype, on
 // shapes that leave every remainder of the AVX2 register tiles (3
 // activation rows x 2 weight rows; 1 x 4 for one row) and of the 8-lane
@@ -402,16 +438,10 @@ TEST_F(KernelBackends, ProjectFanOutIsPoolSizeInvariantAllDtypes) {
 // block, 8 and 16 batched rows, and 17) and weight-row count (64, 100, 128,
 // 512), k just below and just above kParallelMacs plus the served k = 128.
 // Every dtype, backend and pool of 1, 2 and 4 workers must give ref's
-// bits. Even activation rows are crafted so that only the contract's
-// combine tree yields the stored value: weights hold the same c at columns
-// 0, 4 and 6, and x = 1, -1 and 2^-60 there (0 elsewhere), so lanes 0 and
-// 4 cancel and lane 6's c * 2^-60 is lost to ((l4+l5)+(l6+l7)) rounding to
-// -c — the output is exactly 0, where a serial sum or another tree gives
-// c * 2^-60. Odd rows are random, so a block written to the wrong place
-// shows too.
+// bits. Even activation rows are crafted (crafted_rows) so that only the
+// contract's combine tree yields the stored value, exactly 0.
 TEST_F(KernelBackends, ProjectFanOutBoundaryIsPoolSizeInvariantAllDtypes) {
   Rng rng(116);
-  const float tiny = std::ldexp(1.0F, -60);
   ThreadPool pool1(1);
   ThreadPool pool2(2);
   ThreadPool pool4(4);
@@ -423,24 +453,8 @@ TEST_F(KernelBackends, ProjectFanOutBoundaryIsPoolSizeInvariantAllDtypes) {
       ASSERT_GE(above - 1, 7) << "crafted rows need k >= 7";
       for (const std::int64_t cols : {above - 1, above, std::int64_t{128}}) {
         StoredWeights w(out, cols, rng);
-        for (std::int64_t o = 0; o < out; ++o) {
-          const auto c = static_cast<float>(1 + o % 7);
-          for (const std::int64_t col : {0, 4, 6}) {
-            const auto at = static_cast<std::size_t>(o * cols + col);
-            w.f32[at] = c;
-            w.f16[at] = f32_to_f16_bits(c);
-            w.bf16[at] = f32_to_bf16_bits(c);
-            w.i8[at] = static_cast<std::int8_t>(c);
-          }
-        }
-        auto x = random_vec(static_cast<std::size_t>(n_rows * cols), rng);
-        for (std::int64_t r = 0; r < n_rows; r += 2) {
-          float* row = x.data() + r * cols;
-          std::fill(row, row + cols, 0.0F);
-          row[0] = 1.0F;
-          row[4] = -1.0F;
-          row[6] = tiny;
-        }
+        craft_cancelling_columns(w);
+        const auto x = crafted_rows(n_rows, cols, rng);
         for (const DType dtype : kWeightDtypes) {
           const auto expected = w.expected(dtype, x, n_rows);
           for (std::int64_t r = 0; r < n_rows; r += 2) {
@@ -461,6 +475,70 @@ TEST_F(KernelBackends, ProjectFanOutBoundaryIsPoolSizeInvariantAllDtypes) {
             }
           });
         }
+      }
+    }
+  }
+}
+
+// One project() over a group of weight matrices that read the same
+// activations — q/k/v-shaped, 128, 64 and 64 weight rows — gives every
+// view the bits of its own single-view call and of kernels::ref, in each
+// dtype and in a mixed-dtype group. Rows 1, 5, 8, 16, 17 and 80; k just
+// below and at the point where the group's MACs (not any one view's)
+// reach kParallelMacs, plus the served k = 128; both backends; pools of 1
+// and 4. Even activation rows are crafted_rows, whose only contract output
+// is exactly 0.
+TEST_F(KernelBackends, ProjectGroupMatchesSeparateCallsBitwise) {
+  Rng rng(117);
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  ThreadPool* const pools[] = {&pool1, &pool4};
+  const std::int64_t outs[] = {128, 64, 64};
+  const std::int64_t group_out = 128 + 64 + 64;
+  const DType mixes[][3] = {{DType::kF32, DType::kF32, DType::kF32},
+                            {DType::kF16, DType::kF16, DType::kF16},
+                            {DType::kBF16, DType::kBF16, DType::kBF16},
+                            {DType::kI8, DType::kI8, DType::kI8},
+                            {DType::kF32, DType::kI8, DType::kBF16}};
+  for (const std::int64_t n_rows : {1, 5, 8, 16, 17, 80}) {
+    const std::int64_t at = (kernels::kParallelMacs + n_rows * group_out - 1) /
+                            (n_rows * group_out);
+    for (const std::int64_t cols :
+         {std::max<std::int64_t>(at - 1, 7), std::max<std::int64_t>(at, 7),
+          std::int64_t{128}}) {
+      std::vector<StoredWeights> weights;
+      for (const std::int64_t out : outs) {
+        craft_cancelling_columns(weights.emplace_back(out, cols, rng));
+      }
+      const auto x = crafted_rows(n_rows, cols, rng);
+      for (const auto& dtypes : mixes) {
+        std::vector<std::vector<float>> expected;
+        for (std::size_t v = 0; v < 3; ++v) {
+          expected.push_back(weights[v].expected(dtypes[v], x, n_rows));
+        }
+        for_each_backend([&](const char* backend) {
+          for (ThreadPool* pool : pools) {
+            std::vector<std::vector<float>> grouped;
+            std::vector<kernels::Projection> group;
+            for (std::size_t v = 0; v < 3; ++v) {
+              grouped.emplace_back(expected[v].size(), -1.0F);
+            }
+            for (std::size_t v = 0; v < 3; ++v) {
+              group.push_back({weights[v].view(dtypes[v]), grouped[v].data()});
+            }
+            kernels::project(group, x.data(), n_rows, pool);
+            for (std::size_t v = 0; v < 3; ++v) {
+              std::vector<float> alone(expected[v].size(), -1.0F);
+              kernels::project(weights[v].view(dtypes[v]), x.data(),
+                               alone.data(), n_rows, pool);
+              EXPECT_TRUE(bitwise_equal(grouped[v], alone) &&
+                          bitwise_equal(grouped[v], expected[v]))
+                  << "view " << v << " " << dtype_name(dtypes[v])
+                  << " rows=" << n_rows << " k=" << cols
+                  << " threads=" << pool->size() << " backend=" << backend;
+            }
+          }
+        });
       }
     }
   }
@@ -556,13 +634,15 @@ struct KvRows {
 };
 
 /// attend() on every backend memcmp-equals ref::attend; `got` starts as
-/// -1s, so an output element the kernel never writes shows too.
+/// -1s, so an output element the kernel never writes shows too. `scores`
+/// is exactly [group, n_keys], so an overrun shows under ASan.
 void expect_attend_matches_ref(const kernels::AttendShape& shape,
                                const std::vector<float>& q, const KvRows& k,
                                const KvRows& v, std::int64_t n_keys,
                                DType dtype, const std::string& what) {
   const auto width = static_cast<std::size_t>(shape.n_heads * shape.head_dim);
-  std::vector<float> scores(static_cast<std::size_t>(n_keys));
+  std::vector<float> scores(static_cast<std::size_t>(
+      shape.n_heads / shape.n_kv_heads * n_keys));
   std::vector<float> expected(width, -1.0F);
   kernels::ref::attend(shape, q.data(), k.view(dtype), v.view(dtype), n_keys,
                        scores.data(), expected.data());
@@ -577,23 +657,26 @@ void expect_attend_matches_ref(const kernels::AttendShape& shape,
   });
 }
 
-// Both KV dtypes; keys 1..600 (every 8-lane tail and the served horizon);
-// head_dim 32 and 12 (a mix tail); GQA groups 1 and 2; padded row stride.
+// Both KV dtypes; keys 1..600 (1, 2 and 3 for the key-pair tail, every
+// 8-lane tail and the served horizon); head_dim 32, 12 (a mix tail), 64 and
+// 128 (several 32-column mix chunks) and 40 (a chunk plus one 8-block);
+// query heads over KV heads 2/2, 4/2 and 4/1 (one group of four, two head
+// tiles); padded row stride.
 TEST_F(KernelBackends, AttendMatchesRefBitwise) {
   Rng rng(112);
-  const std::int64_t n_kv_heads = 2;
   const std::int64_t max_keys = 600;
-  for (const std::int64_t hd : {32, 12}) {
-    const std::int64_t stride = n_kv_heads * hd + 3;
+  const kernels::AttendShape heads[] = {{2, 2, 0}, {4, 2, 0}, {4, 1, 0}};
+  for (const std::int64_t hd : {32, 12, 64, 128, 40}) {
+    const std::int64_t stride = 2 * hd + 3;
     const auto rows = static_cast<std::size_t>(max_keys * stride);
     const KvRows k(random_vec(rows, rng), stride);
     const KvRows v(random_vec(rows, rng), stride);
-    for (const std::int64_t group : {1, 2}) {
-      const kernels::AttendShape shape{n_kv_heads * group, n_kv_heads, hd};
+    for (kernels::AttendShape shape : heads) {
+      shape.head_dim = hd;
       const auto q =
           random_vec(static_cast<std::size_t>(shape.n_heads * hd), rng);
       for (const DType dtype : {DType::kF32, DType::kF16}) {
-        for (const std::int64_t n_keys : {1, 7, 8, 9, 100, 333, 600}) {
+        for (const std::int64_t n_keys : {1, 2, 3, 7, 8, 9, 100, 333, 600}) {
           expect_attend_matches_ref(shape, q, k, v, n_keys, dtype, "random");
         }
       }
@@ -647,6 +730,42 @@ TEST_F(KernelBackends, AttendMatchesRefBitwise) {
     for (const DType dtype : {DType::kF32, DType::kF16}) {
       expect_attend_matches_ref(shape, q, k, v, n_keys, dtype, "crafted");
     }
+  }
+}
+
+// swiglu() fans fixed blocks across the global pool from a measured
+// element count on. Each output is one element's arithmetic, so every size
+// — empty, one element, below and past the fan-out threshold with a
+// partial last block, up to 16 rows of d_ff 512 and beyond — memcmp-equals
+// ref::swiglu's serial loop, also in place (out aliasing gate). Gates and
+// ups include +-inf (inf and NaN outputs), large negatives whose exp(-x)
+// overflows (sigmoid 0, so -0 outputs), -0 and +0. NaN inputs are left
+// out: which of two NaN operands a multiply returns is the compiler's
+// operand order, not the kernel's arithmetic.
+TEST_F(KernelBackends, SwigluFanOutMatchesSerialBitwise) {
+  Rng rng(118);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {inf,  -inf, -100.0F, -1e30F,
+                            -0.0F, 0.0F, -88.8F,  89.0F};
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{256},
+        std::size_t{1023}, std::size_t{1024}, std::size_t{1025},
+        std::size_t{4096}, std::size_t{8192}, std::size_t{20000}}) {
+    auto gate = random_vec(n, rng);
+    auto up = random_vec(n, rng);
+    for (std::size_t i = 0; i < n; ++i) {
+      gate[i] *= 8.0F;
+      if (i % 11 == 3) gate[i] = specials[(i / 11) % std::size(specials)];
+      if (i % 17 == 5) up[i] = specials[(i / 17) % std::size(specials)];
+    }
+    std::vector<float> expected(n, -1.0F);
+    kernels::ref::swiglu(gate.data(), up.data(), expected.data(), n);
+    std::vector<float> got(n, -1.0F);
+    kernels::swiglu(gate.data(), up.data(), got.data(), n);
+    EXPECT_TRUE(bitwise_equal(got, expected)) << "n=" << n;
+    std::vector<float> in_place = gate;
+    kernels::swiglu(in_place.data(), up.data(), in_place.data(), n);
+    EXPECT_TRUE(bitwise_equal(in_place, expected)) << "in place, n=" << n;
   }
 }
 
