@@ -128,8 +128,9 @@ void forward(const TransformerModel& model,
   const auto d_ff = static_cast<std::size_t>(config.d_ff);
   const std::int64_t hd = config.head_dim();
   const auto kv = static_cast<std::size_t>(config.n_kv_heads * hd);
-  const auto row_scores = static_cast<std::size_t>(
-      config.n_heads / config.n_kv_heads * config.max_seq_len);
+  // Each row's attention scratch: [n_heads / n_kv_heads, max_seq_len].
+  const std::size_t row_scores =
+      scratch.scores.size() / static_cast<std::size_t>(scratch.max_batch);
   const auto row_f = [](std::vector<float>& buf, std::int64_t r,
                         std::size_t dim) {
     return std::span<float>(buf.data() + static_cast<std::size_t>(r) * dim,
